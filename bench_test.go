@@ -11,11 +11,16 @@ package kdb_test
 //	go test -bench=. -benchmem .
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"kdb"
+	"kdb/internal/eval"
+	"kdb/internal/parser"
+	"kdb/internal/storage"
+	"kdb/internal/term"
 )
 
 func mustKB(b *testing.B, src string) *kdb.KB {
@@ -56,27 +61,67 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 	return sb.String()
 }
 
+// evalInput loads a program the way the engines see it: ground facts
+// become stored tuples, everything else becomes rules.
+func evalInput(b *testing.B, src string) eval.Input {
+	b.Helper()
+	p, err := parser.ParseProgram(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := storage.NewMemory()
+	var rules []term.Rule
+	for _, c := range p.Clauses {
+		if !c.IsFact() {
+			rules = append(rules, c)
+		} else if _, err := st.InsertAtom(c.Head); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return eval.Input{Store: st, Rules: rules}
+}
+
+// benchEngine times one eval engine on one retrieve statement.
+func benchEngine(b *testing.B, e eval.Engine, q string) {
+	b.Helper()
+	parsed, err := parser.ParseQuery(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := parsed.(*parser.Retrieve)
+	query := eval.Query{Subject: r.Subject, Where: r.Where}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.RetrieveContext(context.Background(), query); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// engines are the eval strategies compared directly, below the kb.
+var engines = []struct {
+	name string
+	mk   func(eval.Input, ...eval.EngineOption) eval.Engine
+}{
+	{"naive", eval.NewNaive},
+	{"seminaive", eval.NewSemiNaive},
+	{"topdown", eval.NewTopDown},
+}
+
 func BenchmarkRetrieveEngines(b *testing.B) {
 	for _, n := range []int{25, 50, 100} {
-		src := chainKB(b, n)
-		for _, engine := range []kdb.EngineKind{kdb.EngineNaive, kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-			b.Run(fmt.Sprintf("engine=%s/chain=%d", engine, n), func(b *testing.B) {
-				k := mustKB(b, src)
-				if err := k.SetEngine(engine); err != nil {
-					b.Fatal(err)
-				}
-				benchQuery(b, k, `retrieve path(X, Y).`)
+		in := evalInput(b, chainKB(b, n))
+		for _, e := range engines {
+			b.Run(fmt.Sprintf("engine=%s/chain=%d", e.name, n), func(b *testing.B) {
+				benchEngine(b, e.mk(in), `retrieve path(X, Y).`)
 			})
 		}
 		// Parallel semi-naive on the single-SCC chain: the acceptance bar
 		// is parity with the sequential engine (there is nothing to spread,
 		// so this measures the scheduler's overhead).
 		b.Run(fmt.Sprintf("engine=seminaive-par/chain=%d", n), func(b *testing.B) {
-			k := kdb.New(kdb.WithParallelism(0))
-			if err := k.LoadString(src); err != nil {
-				b.Fatal(err)
-			}
-			benchQuery(b, k, `retrieve path(X, Y).`)
+			benchEngine(b, eval.NewSemiNaive(in, eval.WithWorkers(0)), `retrieve path(X, Y).`)
 		})
 	}
 }
@@ -118,16 +163,23 @@ func BenchmarkRetrieveParallelStrata(b *testing.B) {
 	}
 }
 
+// BenchmarkRetrieveBoundGoal compares the strategies on a bound goal
+// over a 200-edge chain, then times what the kb does with it: through
+// kdb.New the bound goal runs top-down and the free goal semi-naive.
 func BenchmarkRetrieveBoundGoal(b *testing.B) {
-	// Goal-directed evaluation vs bottom-up on a bound query.
 	src := chainKB(b, 200)
-	for _, engine := range []kdb.EngineKind{kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-		b.Run(string(engine), func(b *testing.B) {
-			k := mustKB(b, src)
-			if err := k.SetEngine(engine); err != nil {
-				b.Fatal(err)
-			}
-			benchQuery(b, k, `retrieve path(n0000, Y).`)
+	in := evalInput(b, src)
+	for _, e := range engines[1:] {
+		b.Run("engine="+e.name, func(b *testing.B) {
+			benchEngine(b, e.mk(in), `retrieve path(n0000, Y).`)
+		})
+	}
+	for _, q := range []struct{ name, stmt string }{
+		{"kdb/bound", `retrieve path(n0000, Y).`},
+		{"kdb/free", `retrieve path(X, Y).`},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			benchQuery(b, mustKB(b, src), q.stmt)
 		})
 	}
 }

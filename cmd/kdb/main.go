@@ -69,7 +69,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("kdb", flag.ContinueOnError)
 	var (
 		dbDir    = fs.String("db", "", "durable database directory (default: in-memory)")
-		engine   = fs.String("engine", "seminaive", "retrieve engine: naive, seminaive, topdown, magic")
 		exec     = fs.String("exec", "", "execute the given queries and exit")
 		quiet    = fs.Bool("q", false, "suppress the banner and prompts")
 		stats    = fs.Bool("stats", false, "print evaluation statistics after each retrieve")
@@ -179,9 +178,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		defer k.Close()
 	} else {
 		k = kdb.New(opts...)
-	}
-	if err := k.SetEngine(kdb.EngineKind(*engine)); err != nil {
-		return err
 	}
 	if *profileOn {
 		k.SetProfiling(true)
@@ -509,7 +505,7 @@ func isMetaLine(line string) bool {
 // metaNames lists every meta command the REPL understands, for the
 // unknown-command message.
 var metaNames = []string{
-	".check", ".checkpoint", ".engine", ".exit", ".explain", ".help",
+	".check", ".checkpoint", ".exit", ".explain", ".help",
 	".intensional", ".load", ".parallel", ".preds", ".profile",
 	".provenance", ".quit", ".rules", ".stats", ".trace", ".validate",
 }
@@ -562,7 +558,6 @@ meta commands:
   .preds         list the catalog
   .validate      check the §2.1 recursion discipline
   .check         print the static-analysis report of the loaded program
-  .engine NAME   switch retrieve engine (naive, seminaive, topdown, magic)
   .parallel N    bottom-up evaluation workers (0 = GOMAXPROCS)
   .stats [on|off]   print evaluation statistics after each retrieve
   .profile [on|off] profile every retrieve (per-rule cost breakdown)
@@ -615,16 +610,6 @@ other:
 			fmt.Fprint(out, rep)
 		} else {
 			fmt.Fprintln(out, "nothing loaded yet")
-		}
-	case ".engine":
-		if len(fields) != 2 {
-			fmt.Fprintln(out, "usage: .engine naive|seminaive|topdown|magic")
-			return false
-		}
-		if err := k.SetEngine(kdb.EngineKind(fields[1])); err != nil {
-			fmt.Fprintln(out, "error:", err)
-		} else {
-			fmt.Fprintln(out, "engine:", fields[1])
 		}
 	case ".parallel":
 		if len(fields) != 2 {

@@ -44,17 +44,24 @@ func TestExecMultipleQueries(t *testing.T) {
 	}
 }
 
+// TestEngineFlag: there is no engine flag; the query picks the engine,
+// and -stats names the one it picked.
 func TestEngineFlag(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-q", "-engine", "topdown", "-exec", `retrieve honor(X).`, dataFile(t)}, strings.NewReader(""), &out)
-	if err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-q", "-engine", "topdown", "-exec", `retrieve honor(X).`, dataFile(t)}, strings.NewReader(""), &out); err == nil {
+		t.Error("-engine must be an unknown flag")
 	}
-	if !strings.Contains(out.String(), "honor(ann)") {
-		t.Errorf("output = %q", out.String())
-	}
-	if err := run([]string{"-engine", "bogus"}, strings.NewReader(""), &out); err == nil {
-		t.Error("bogus engine must fail")
+	for stmt, engine := range map[string]string{
+		`retrieve prior(databases, Y).`: "engine=topdown",
+		`retrieve honor(X).`:            "engine=seminaive",
+	} {
+		out.Reset()
+		if err := run([]string{"-q", "-stats", "-exec", stmt, dataFile(t)}, strings.NewReader(""), &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), engine) {
+			t.Errorf("%s: output = %q, want %s", stmt, out.String(), engine)
+		}
 	}
 }
 
@@ -68,8 +75,6 @@ describe honor(X).
 .preds
 .validate
 .engine topdown
-retrieve honor(X).
-.engine bogus
 .help
 .unknowncmd
 .quit
@@ -86,8 +91,7 @@ retrieve honor(X).
 		"honor(X) :- student(X, M, G), G > 3.7.",   // .rules
 		"EDB: student/3",                           // .preds
 		"ok: rules are disciplined",                // .validate
-		"engine: topdown",                          // .engine
-		"unknown engine",                           // bad engine
+		"unknown command .engine;",                 // .engine is gone
 		"meta commands:",                           // .help
 		"unknown command",                          // bad meta
 	} {

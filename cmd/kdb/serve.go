@@ -27,7 +27,6 @@ func runServe(args []string, out io.Writer) error {
 	var (
 		addr     = fs.String("addr", "localhost:8040", "listen address")
 		root     = fs.String("root", "", "directory holding one store per knowledge base (default: in-memory tenants)")
-		engine   = fs.String("engine", "seminaive", "retrieve engine: naive, seminaive, topdown, magic")
 		parallel = fs.Int("parallel", 1, "bottom-up evaluation workers per query (0 = GOMAXPROCS)")
 		maxOpen  = fs.Int("max-open", 8, "maximum simultaneously open knowledge bases")
 		idle     = fs.Duration("idle", 5*time.Minute, "close knowledge bases unused for this long (negative = never)")
@@ -67,7 +66,6 @@ func runServe(args []string, out io.Writer) error {
 		Root:              *root,
 		MaxOpenKBs:        *maxOpen,
 		IdleTimeout:       *idle,
-		Engine:            kdb.EngineKind(*engine),
 		Parallelism:       *parallel,
 		PreparedCacheSize: *cache,
 		MaxInFlight:       *maxInFlight,
@@ -112,7 +110,7 @@ func runServe(args []string, out io.Writer) error {
 		if *root != "" {
 			store = "root " + *root
 		}
-		fmt.Fprintf(out, "kdb serve on http://%s/ (%s, engine %s)\n", ln.Addr(), store, *engine)
+		fmt.Fprintf(out, "kdb serve on http://%s/ (%s)\n", ln.Addr(), store)
 	}
 
 	hs := &http.Server{Handler: srv.Handler()}

@@ -72,19 +72,13 @@ func TestLargeKBEndToEnd(t *testing.T) {
 		t.Fatalf("constraints: %v %v", violations, err)
 	}
 
-	// Every engine answers the long-chain recursive query identically.
-	var results []string
-	for _, e := range []kdb.EngineKind{kdb.EngineNaive, kdb.EngineSemiNaive, kdb.EngineTopDown, kdb.EngineMagic} {
-		if err := k.SetEngine(e); err != nil {
-			t.Fatal(err)
-		}
-		res, err := k.ExecString(`retrieve prior(c039, Y).`)
-		if err != nil {
-			t.Fatalf("%s: %v", e, err)
-		}
-		results = append(results, res.String())
+	// Both strategies answer the long-chain recursive query identically:
+	// top-down for the bound goal, semi-naive for its equality-bound twin.
+	results := []string{
+		execOn(t, k, `retrieve prior(c039, Y).`, "topdown"),
+		execOn(t, k, `retrieve prior(X, Y) where X = c039.`, "seminaive"),
 	}
-	if results[0] != results[1] || results[1] != results[2] || results[2] != results[3] {
+	if results[0] != results[1] {
 		t.Fatal("engines disagree on the long chain")
 	}
 	if got := strings.Count(results[0], "prior("); got != 39 {

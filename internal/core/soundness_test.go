@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -33,14 +34,14 @@ func checkAnswerSound(st *storage.Store, rules []term.Rule, subject term.Atom, h
 	witness := term.NewAtom("__witness__", vars...)
 	checkRules := append(append([]term.Rule(nil), rules...), term.Rule{Head: witness, Body: body})
 	in := eval.Input{Store: st, Rules: checkRules}
-	res, err := eval.NewSemiNaive(in).Retrieve(eval.Query{Subject: witness})
+	res, err := eval.NewSemiNaive(in).RetrieveContext(context.Background(), eval.Query{Subject: witness})
 	if err != nil {
 		// Unsafe check rule (free universal variable): sample it.
 		return sampleAndCheck(st, rules, subject, body, vars)
 	}
 	// Collect the subject predicate's full extension once.
 	subjVarsAtom := freshSubjectAtom(subject)
-	ext, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: rules}).Retrieve(eval.Query{Subject: subjVarsAtom})
+	ext, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: rules}).RetrieveContext(context.Background(), eval.Query{Subject: subjVarsAtom})
 	if err != nil {
 		return fmt.Errorf("evaluating subject extension: %w", err)
 	}
@@ -127,7 +128,7 @@ func sampleAndCheck(st *storage.Store, rules []term.Rule, subject term.Atom, bod
 func groundFormulaHolds(st *storage.Store, rules []term.Rule, f term.Formula) (bool, error) {
 	head := term.NewAtom("__probe__")
 	checkRules := append(append([]term.Rule(nil), rules...), term.Rule{Head: head, Body: f})
-	res, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: checkRules}).Retrieve(eval.Query{Subject: head})
+	res, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: checkRules}).RetrieveContext(context.Background(), eval.Query{Subject: head})
 	if err != nil {
 		return false, err
 	}

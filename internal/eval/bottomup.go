@@ -3,69 +3,16 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
-
-// engineConfig carries the tunables shared by the engine constructors.
-type engineConfig struct {
-	workers int
-	limits  governor.Limits
-	rec     *prov.Recorder
-	prof    *profile.Profile
-	labels  map[string]profLabel
-}
-
-// EngineOption tunes an engine at construction.
-type EngineOption func(*engineConfig)
-
-// WithWorkers sets the SCC worker-pool size of the bottom-up engines
-// (and of the bottom-up core of the magic engine): independent strongly
-// connected components of the rule dependency graph are evaluated
-// concurrently on up to n goroutines. n <= 0 selects GOMAXPROCS; the
-// default is 1, which keeps the evaluation strictly sequential (the
-// correctness baseline). The top-down engine ignores this option.
-func WithWorkers(n int) EngineOption {
-	return func(c *engineConfig) { c.workers = n }
-}
-
-// WithLimits sets the per-query resource limits the engine's governor
-// enforces on every evaluation (Retrieve delegates to RetrieveContext
-// with a background context). The zero value of each field means
-// unlimited.
-func WithLimits(l governor.Limits) EngineOption {
-	return func(c *engineConfig) { c.limits = l }
-}
-
-// WithProvenance makes the engine record one why-provenance witness
-// (firing rule plus ground parent facts) for every newly derived fact
-// into rec, bounded by the governor's MaxProvenanceEntries limit. All
-// four engines honor it. A nil recorder disables recording; the derive
-// path then pays a single nil check (see TestProvenanceDisabledAllocs).
-func WithProvenance(rec *prov.Recorder) EngineOption {
-	return func(c *engineConfig) { c.rec = rec }
-}
-
-func buildConfig(opts []EngineOption) engineConfig {
-	cfg := engineConfig{workers: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	return cfg
-}
 
 // finishStats finalizes a stats record after the component loop: wall
 // time, per-component sums, storage counters, and — for a governed
@@ -202,79 +149,13 @@ func matchStoreExcept(st *storage.Store, a term.Atom, base term.Subst, except *s
 	})
 }
 
-// bottomUp is the shared driver for the naive and semi-naive engines.
-type bottomUp struct {
-	in        Input
-	seminaive bool
-	workers   int
-	limits    governor.Limits
-	rec       *prov.Recorder
-	prof      *profile.Profile
-	labels    map[string]profLabel
-	stats     atomic.Pointer[EvalStats]
-}
-
-// NewNaive returns the naive bottom-up engine: it recomputes every rule
-// against the full extensions until no new fact appears. It is the
-// correctness baseline the optimized engines are tested against.
-func NewNaive(in Input, opts ...EngineOption) Engine {
-	cfg := buildConfig(opts)
-	return &bottomUp{in: in, workers: cfg.workers, limits: cfg.limits, rec: cfg.rec,
-		prof: cfg.prof, labels: cfg.labels}
-}
-
-// NewSemiNaive returns the semi-naive bottom-up engine: within each
-// recursive SCC, rules are differentiated on their recursive body atoms
-// so each iteration only joins against the facts new in the previous
-// iteration. With WithWorkers(n), independent SCCs are evaluated
-// concurrently.
-func NewSemiNaive(in Input, opts ...EngineOption) Engine {
-	cfg := buildConfig(opts)
-	return &bottomUp{in: in, seminaive: true, workers: cfg.workers, limits: cfg.limits, rec: cfg.rec,
-		prof: cfg.prof, labels: cfg.labels}
-}
-
-// Name identifies the engine.
-func (e *bottomUp) Name() string {
-	name := "naive"
-	if e.seminaive {
-		name = "seminaive"
-	}
-	if e.workers > 1 {
-		name += "-par"
-	}
-	return name
-}
-
-// LastStats returns the statistics of the most recent Retrieve.
-func (e *bottomUp) LastStats() *EvalStats { return e.stats.Load() }
-
-// Retrieve evaluates the query bottom-up to completion (no context).
-// Configured limits (WithLimits) still apply.
-//
-//kdb:entrypoint
-func (e *bottomUp) Retrieve(q Query) (*Result, error) {
-	return e.RetrieveContext(context.Background(), q)
-}
-
-// RetrieveContext evaluates the query bottom-up under the governor.
-// Components of the dependency graph's condensation are evaluated in
-// dependency order — sequentially, or on a worker pool that runs
-// independent components concurrently. Cancellation and limit breaches
-// stop the fixpoint loops cooperatively and return a *StopError; panics
-// anywhere in the evaluation (worker goroutines included) are contained.
-func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {
-	defer governor.Recover(&err)
-	gov, cancel := governor.New(ctx, e.limits)
-	defer cancel()
+// bottomUp evaluates the plan bottom-up, naive or semi-naive, under
+// the governor. Components of the dependency graph's condensation are
+// evaluated in dependency order — sequentially, or on a worker pool that
+// runs independent components concurrently. Cancellation and limit
+// breaches stop the fixpoint loops cooperatively.
+func (e *engine) bottomUp(ctx context.Context, gov *governor.Governor, p *plan) (*Result, error) {
 	sp := obs.SpanFromContext(ctx)
-	asp := sp.Child("analyze")
-	p, err := buildPlan(e.in, q)
-	if err != nil {
-		asp.End()
-		return nil, err
-	}
-	asp.End()
 	// The observability counters are private to this query and threaded
 	// through every storage probe (MatchCounted / SelectCounted), so
 	// concurrent queries over the same store keep independent counts.
@@ -283,13 +164,14 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	relevant := p.relevantPreds()
 
 	components := p.graph.SCCOrder()
+	name := e.bottomUpName()
 	stats := &EvalStats{
-		Engine:     e.Name(),
+		Engine:     name,
 		Workers:    e.workers,
 		Components: make([]ComponentStats, len(components)),
 	}
 	evalSp := sp.Child("eval")
-	evalSp.SetStr("engine", e.Name())
+	evalSp.SetStr("engine", name)
 	evalSp.SetInt("workers", int64(e.workers))
 	evalSp.SetInt("components", int64(len(components)))
 	start := time.Now()
@@ -343,15 +225,14 @@ func (e *bottomUp) RetrieveContext(ctx context.Context, q Query) (res *Result, e
 	finishStats(stats, start, counters, runErr)
 	stats.ProvEntries = e.rec.Len() - provStart
 	if e.prof != nil {
-		e.prof.SetEngine(e.Name())
-		e.prof.SetWall(stats.Wall)
+		e.prof.Finish(name, stats.Wall)
 	}
 	e.stats.Store(stats)
 	endEvalSpan(evalSp, sp, stats)
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
-	return e.collect(p, d), nil
+	return collect(p, d), nil
 }
 
 // endEvalSpan folds the finished stats into the eval span and emits the
@@ -380,7 +261,7 @@ func endEvalSpan(evalSp, parent *obs.Span, stats *EvalStats) {
 // predicates resolve against their per-query plan snapshot and nothing
 // else. Each lookup performs one amortized governor check, which bounds
 // the cancellation latency of even a single very large fixpoint round.
-func (e *bottomUp) fullLookup(p *plan, d *derived, gov *governor.Governor, cs *ComponentStats, rp *ruleProfiler) lookup {
+func (e *engine) fullLookup(p *plan, d *derived, gov *governor.Governor, cs *ComponentStats, rp *ruleProfiler) lookup {
 	return func(a term.Atom, base term.Subst, fn func(term.Subst) bool) error {
 		cs.Lookups++
 		rp.countLookup()
@@ -423,7 +304,7 @@ func (e *bottomUp) fullLookup(p *plan, d *derived, gov *governor.Governor, cs *C
 // single goroutine; under parallel evaluation the scheduler guarantees
 // every component it depends on has completed, so the only relations
 // that grow during the run are the component's own.
-func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, comp []string, cs *ComponentStats, act *obs.Activity) error {
+func (e *engine) evalComponent(p *plan, d *derived, gov *governor.Governor, comp []string, cs *ComponentStats, act *obs.Activity) error {
 	inComp := make(map[string]bool, len(comp))
 	for _, pred := range comp {
 		inComp[pred] = true
@@ -443,7 +324,7 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 	cs.Recursive = recursive
 	var rp *ruleProfiler
 	if e.prof != nil {
-		rp = newRuleProfiler(e.prof, e.labels, d.counters)
+		rp = newRuleProfiler(e.prof, d.counters)
 	}
 	full := e.fullLookup(p, d, gov, cs, rp)
 
@@ -487,7 +368,7 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 
 	// Iterate to fixpoint, checking the governor between rounds.
 	for {
-		if e.seminaive && delta.empty() {
+		if e.strategy != naive && delta.empty() {
 			return nil
 		}
 		if err := gov.Err(); err != nil {
@@ -519,7 +400,7 @@ func (e *bottomUp) evalComponent(p *plan, d *derived, gov *governor.Governor, co
 			return nil
 		}
 		var err error
-		if e.seminaive {
+		if e.strategy != naive {
 			err = applyRulesSemiNaive(rules, inComp, full, delta, gov, rp, sink)
 		} else {
 			err = applyRules(rules, full, rp, sink)
@@ -706,7 +587,7 @@ func solveBodyPinned(body []term.Atom, pin int, full lookup, delta *derived, gov
 }
 
 // collect extracts the result tuples from the derived query relation.
-func (e *bottomUp) collect(p *plan, d *derived) *Result {
+func collect(p *plan, d *derived) *Result {
 	res := &Result{Vars: p.vars}
 	r := d.get(queryPredName)
 	if r == nil {

@@ -1,15 +1,20 @@
 // Package eval implements the paper's data queries (§3.1): the
-// `retrieve p where ψ` statement over a knowledge-rich database. Three
-// interchangeable engines are provided:
+// `retrieve p where ψ` statement over a knowledge-rich database. New
+// returns the production engine, which plans each query once and lets
+// the plan pick one of two strategies:
 //
-//   - Naive: bottom-up naive fixpoint — the correctness baseline.
-//   - SemiNaive: bottom-up with delta relations per recursive SCC — the
-//     production engine.
-//   - TopDown: goal-directed SLD resolution with naive-iteration tabling,
-//     terminating on all Datalog programs.
+//   - top-down: goal-directed SLD resolution with naive-iteration
+//     tabling, terminating on all Datalog programs. It runs when the
+//     query binds an argument of a rule-defined predicate, so only what
+//     the goal reaches is evaluated.
+//   - semi-naive: bottom-up with delta relations per recursive SCC. It
+//     runs every other query: free goals, stored-relation reads, sys_*
+//     reads.
 //
-// All three agree on every program (property-tested); retrieve answers
-// are sets of bindings for the free variables of the subject.
+// NewSemiNaive and NewTopDown fix one strategy; NewNaive, the bottom-up
+// naive fixpoint, is the test oracle. All of them agree on every
+// program (property-tested); retrieve answers are sets of bindings for
+// the free variables of the subject.
 //
 // The subject may be an EDB predicate, an IDB predicate, or — as in the
 // paper's Example 2 — a new predicate defined entirely by the qualifier.
@@ -100,8 +105,6 @@ func (r *Result) Strings() []string {
 type Engine interface {
 	// Name identifies the evaluation strategy.
 	Name() string
-	// Retrieve evaluates one query to completion, ungoverned.
-	Retrieve(q Query) (*Result, error)
 	// RetrieveContext evaluates one query under the context and the
 	// engine's configured limits (WithLimits). Cancellation, deadline
 	// expiry, and limit breaches stop the evaluation promptly and
@@ -114,12 +117,11 @@ type Engine interface {
 const queryPredName = "__query__"
 
 // plan is the preprocessed form of a query shared by all engines: a query
-// rule __query__(vars of subject) :- [subject,] where-atoms, the rule set
-// extended with it, and the dependency graph.
+// rule __query__(vars of subject) :- [subject,] where-atoms, and the
+// dependency graph of the rule set extended with it.
 type plan struct {
 	rule  term.Rule
 	vars  []term.Term
-	rules []term.Rule
 	graph *depgraph.Graph
 	// virtual holds the per-query snapshots of every virtual predicate
 	// the program references; nil when the program references none.
@@ -174,7 +176,6 @@ func buildPlan(in Input, q Query) (*plan, error) {
 	return &plan{
 		rule:    rule,
 		vars:    vars,
-		rules:   rules,
 		graph:   depgraph.New(rules),
 		virtual: virt,
 	}, nil

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -53,7 +54,7 @@ func engines(in Input) []Engine {
 		NewSemiNaive(in),
 		NewSemiNaive(in, WithWorkers(4)),
 		NewTopDown(in),
-		NewMagic(in),
+		New(in),
 	}
 }
 
@@ -94,7 +95,7 @@ func retrieveAll(t *testing.T, in Input, q Query) map[string][]string {
 	t.Helper()
 	out := make(map[string][]string)
 	for _, e := range engines(in) {
-		res, err := e.Retrieve(q)
+		res, err := e.RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -305,7 +306,7 @@ func TestUnsafeRulesRejected(t *testing.T) {
 	for _, src := range cases {
 		in := load(t, src)
 		for _, e := range engines(in) {
-			if _, err := e.Retrieve(query(t, `retrieve p(X).`)); err == nil {
+			if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve p(X).`)); err == nil {
 				t.Errorf("%s accepted unsafe program %q", e.Name(), src)
 			}
 		}
@@ -321,7 +322,7 @@ func TestUnsafeRulesRejected(t *testing.T) {
 func TestQualifierVarEqVarRejected(t *testing.T) {
 	in := load(t, universityDB)
 	for _, e := range engines(in) {
-		if _, err := e.Retrieve(query(t, `retrieve student(X, Y, Z) where X = Y.`)); err == nil {
+		if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve student(X, Y, Z) where X = Y.`)); err == nil {
 			t.Errorf("%s accepted X = Y in qualifier (paper §3.1 prohibits it)", e.Name())
 		}
 	}
@@ -330,7 +331,7 @@ func TestQualifierVarEqVarRejected(t *testing.T) {
 func TestResultAtomsAndSorted(t *testing.T) {
 	in := load(t, universityDB)
 	e := NewSemiNaive(in)
-	res, err := e.Retrieve(query(t, `retrieve honor(X).`))
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve honor(X).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestQuickEnginesAgree(t *testing.T) {
 			var results [][]string
 			var names []string
 			for _, e := range engines(in) {
-				res, err := e.Retrieve(q)
+				res, err := e.RetrieveContext(context.Background(), q)
 				if err != nil {
 					t.Logf("seed %d %s: %v", seed, e.Name(), err)
 					return false
@@ -449,7 +450,7 @@ path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 `)
 		in := Input{Store: st, Rules: p.Clauses}
-		res, err := NewSemiNaive(in).Retrieve(query(t, `retrieve path(X, Y).`))
+		res, err := NewSemiNaive(in).RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
 		if err != nil {
 			return false
 		}
@@ -503,7 +504,7 @@ func benchEngine(b *testing.B, mk func(Input, ...EngineOption) Engine, n int, qs
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -26,33 +26,60 @@ func expensiveInput(t testing.TB, n int) Input {
 	return load(t, sb.String())
 }
 
-// governedEngines returns every engine in sequential and parallel
-// flavors, all built with the given options.
-func governedEngines(in Input, opts ...EngineOption) []Engine {
+// governedRun is one governed evaluation: an engine, the query it
+// runs, and the strategy its stats must name.
+type governedRun struct {
+	name string
+	e    Engine
+	q    Query
+	ran  string
+}
+
+// governedRuns pairs every engine, in sequential and parallel flavors
+// and built with the given options, with a query. The fixed strategies
+// run free; the production engine runs free, which it evaluates
+// semi-naive, and bound, which it evaluates top-down.
+func governedRuns(t testing.TB, in Input, free, bound string, opts ...EngineOption) []governedRun {
 	par := append(append([]EngineOption{}, opts...), WithWorkers(4))
-	return []Engine{
+	var runs []governedRun
+	for _, e := range []Engine{
 		NewNaive(in, opts...),
 		NewNaive(in, par...),
 		NewSemiNaive(in, opts...),
 		NewSemiNaive(in, par...),
 		NewTopDown(in, opts...),
-		NewMagic(in, opts...),
-		NewMagic(in, par...),
+	} {
+		runs = append(runs, governedRun{e: e, q: query(t, free), ran: e.Name()})
+	}
+	runs = append(runs,
+		governedRun{name: "auto-free", e: New(in, opts...), q: query(t, free), ran: "seminaive"},
+		governedRun{name: "auto-bound", e: New(in, opts...), q: query(t, bound), ran: "topdown"})
+	for i := range runs {
+		if runs[i].name == "" {
+			runs[i].name = runs[i].e.Name()
+		}
+		runs[i].name = fmt.Sprintf("%d-%s", i, runs[i].name)
+	}
+	return runs
+}
+
+// checkRan fails the test unless the last evaluation's stats name the
+// strategy the run expects.
+func (r governedRun) checkRan(t *testing.T) {
+	t.Helper()
+	if st := r.e.(StatsReporter).LastStats(); st == nil || st.Engine != r.ran {
+		t.Errorf("stats = %+v, want engine %s", st, r.ran)
 	}
 }
 
-func engineLabel(i int, e Engine) string { return fmt.Sprintf("%d-%s", i, e.Name()) }
-
 func TestDeadlineStopsEveryEngine(t *testing.T) {
 	in := expensiveInput(t, 600)
-	q := query(t, `retrieve reach(X, Y).`)
-	for i, e := range governedEngines(in) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
+	for _, r := range governedRuns(t, in, `retrieve reach(X, Y).`, `retrieve reach(n0, Y).`) {
+		t.Run(r.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := e.RetrieveContext(ctx, q)
+			_, err := r.e.RetrieveContext(ctx, r.q)
 			elapsed := time.Since(start)
 			if err == nil {
 				t.Fatal("expected a deadline error, query completed")
@@ -73,18 +100,18 @@ func TestDeadlineStopsEveryEngine(t *testing.T) {
 			if se.Stats == nil || se.Stats.StopReason != "deadline" {
 				t.Errorf("stats = %+v, want StopReason deadline", se.Stats)
 			}
+			r.checkRan(t)
 		})
 	}
 }
 
 func TestMaxWallLimitViaOptions(t *testing.T) {
 	in := expensiveInput(t, 600)
-	q := query(t, `retrieve reach(X, Y).`)
-	for i, e := range governedEngines(in, WithLimits(governor.Limits{MaxWall: 50 * time.Millisecond})) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
+	limits := WithLimits(governor.Limits{MaxWall: 50 * time.Millisecond})
+	for _, r := range governedRuns(t, in, `retrieve reach(X, Y).`, `retrieve reach(n0, Y).`, limits) {
+		t.Run(r.name, func(t *testing.T) {
 			start := time.Now()
-			_, err := e.Retrieve(q) // plain Retrieve: the limit alone must stop it
+			_, err := r.e.RetrieveContext(context.Background(), r.q) // no deadline: the limit alone must stop it
 			if err == nil {
 				t.Fatal("expected a deadline error, query completed")
 			}
@@ -94,20 +121,19 @@ func TestMaxWallLimitViaOptions(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 				t.Errorf("took %v to observe a 50ms wall limit", elapsed)
 			}
+			r.checkRan(t)
 		})
 	}
 }
 
 func TestPreCanceledContext(t *testing.T) {
 	in := expensiveInput(t, 600)
-	q := query(t, `retrieve reach(X, Y).`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, e := range governedEngines(in) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
+	for _, r := range governedRuns(t, in, `retrieve reach(X, Y).`, `retrieve reach(n0, Y).`) {
+		t.Run(r.name, func(t *testing.T) {
 			start := time.Now()
-			_, err := e.RetrieveContext(ctx, q)
+			_, err := r.e.RetrieveContext(ctx, r.q)
 			if !errors.Is(err, governor.ErrCanceled) {
 				t.Errorf("err = %v, want governor.ErrCanceled", err)
 			}
@@ -117,17 +143,17 @@ func TestPreCanceledContext(t *testing.T) {
 			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 				t.Errorf("took %v to observe a pre-canceled context", elapsed)
 			}
+			r.checkRan(t)
 		})
 	}
 }
 
 func TestMaxFactsLimit(t *testing.T) {
 	in := expensiveInput(t, 200)
-	q := query(t, `retrieve reach(X, Y).`)
-	for i, e := range governedEngines(in, WithLimits(governor.Limits{MaxFacts: 100})) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
-			_, err := e.Retrieve(q)
+	limits := WithLimits(governor.Limits{MaxFacts: 100})
+	for _, r := range governedRuns(t, in, `retrieve reach(X, Y).`, `retrieve reach(n0, Y).`, limits) {
+		t.Run(r.name, func(t *testing.T) {
+			_, err := r.e.RetrieveContext(context.Background(), r.q)
 			var le *governor.LimitError
 			if !errors.As(err, &le) {
 				t.Fatalf("err = %v, want *LimitError", err)
@@ -142,17 +168,17 @@ func TestMaxFactsLimit(t *testing.T) {
 			if se.Stats.StopReason != "limit:facts" {
 				t.Errorf("StopReason = %q", se.Stats.StopReason)
 			}
+			r.checkRan(t)
 		})
 	}
 }
 
 func TestMaxIterationsLimit(t *testing.T) {
 	in := expensiveInput(t, 200)
-	q := query(t, `retrieve reach(X, Y).`)
-	for i, e := range governedEngines(in, WithLimits(governor.Limits{MaxIterations: 2})) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
-			_, err := e.Retrieve(q)
+	limits := WithLimits(governor.Limits{MaxIterations: 2})
+	for _, r := range governedRuns(t, in, `retrieve reach(X, Y).`, `retrieve reach(n0, Y).`, limits) {
+		t.Run(r.name, func(t *testing.T) {
+			_, err := r.e.RetrieveContext(context.Background(), r.q)
 			var le *governor.LimitError
 			if !errors.As(err, &le) {
 				t.Fatalf("err = %v, want *LimitError", err)
@@ -160,6 +186,7 @@ func TestMaxIterationsLimit(t *testing.T) {
 			if le.Kind != governor.LimitIterations {
 				t.Errorf("kind = %q, want %q", le.Kind, governor.LimitIterations)
 			}
+			r.checkRan(t)
 		})
 	}
 }
@@ -172,49 +199,54 @@ reach(X, Y) :- edge(X, Y).
 reach(X, Y) :- edge(X, Z), reach(Z, Y).
 twohop(X, Y) :- reach(X, Z), reach(Z, Y).
 `)
-	q := query(t, `retrieve twohop(X, Y).`)
-	e := NewTopDown(in, WithLimits(governor.Limits{MaxTableEntries: 1}))
-	_, err := e.Retrieve(q)
-	var le *governor.LimitError
-	if !errors.As(err, &le) {
-		t.Fatalf("err = %v, want *LimitError", err)
-	}
-	if le.Kind != governor.LimitTableEntries {
-		t.Errorf("kind = %q, want %q", le.Kind, governor.LimitTableEntries)
+	limits := WithLimits(governor.Limits{MaxTableEntries: 1})
+	// The production engine runs the bound goal top-down, so the table
+	// limit stops it too.
+	for _, r := range []governedRun{
+		{e: NewTopDown(in, limits), q: query(t, `retrieve twohop(X, Y).`), ran: "topdown"},
+		{e: New(in, limits), q: query(t, `retrieve twohop(a, Y).`), ran: "topdown"},
+	} {
+		_, err := r.e.RetrieveContext(context.Background(), r.q)
+		var le *governor.LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s: err = %v, want *LimitError", r.e.Name(), err)
+		}
+		if le.Kind != governor.LimitTableEntries {
+			t.Errorf("%s: kind = %q, want %q", r.e.Name(), le.Kind, governor.LimitTableEntries)
+		}
+		r.checkRan(t)
 	}
 }
 
 func TestLimitsDoNotAffectCompletingQueries(t *testing.T) {
 	in := load(t, universityDB)
-	q := query(t, `retrieve prior(databases, X).`)
-	limits := governor.Limits{
+	limits := WithLimits(governor.Limits{
 		MaxWall:       10 * time.Second,
 		MaxFacts:      100000,
 		MaxIterations: 100000,
-	}
-	for i, e := range governedEngines(in, WithLimits(limits)) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
-			res, err := e.Retrieve(q)
+	})
+	free := `retrieve prior(X, Y) where X = databases.`
+	for _, r := range governedRuns(t, in, free, `retrieve prior(databases, X).`, limits) {
+		t.Run(r.name, func(t *testing.T) {
+			res, err := r.e.RetrieveContext(context.Background(), r.q)
 			if err != nil {
 				t.Fatalf("generous limits must not interfere: %v", err)
 			}
 			if len(res.Tuples) != 2 {
 				t.Errorf("answers = %d, want 2", len(res.Tuples))
 			}
+			r.checkRan(t)
 		})
 	}
 }
 
 func TestPanicContainment(t *testing.T) {
 	in := expensiveInput(t, 10)
-	q := query(t, `retrieve reach(X, Y).`)
 	DeriveHook = func(term.Atom) { panic("injected failure") }
 	defer func() { DeriveHook = nil }()
-	for i, e := range governedEngines(in) {
-		e := e
-		t.Run(engineLabel(i, e), func(t *testing.T) {
-			_, err := e.Retrieve(q)
+	for _, r := range governedRuns(t, in, `retrieve reach(X, Y).`, `retrieve reach(n0, Y).`) {
+		t.Run(r.name, func(t *testing.T) {
+			_, err := r.e.RetrieveContext(context.Background(), r.q)
 			var pe *governor.PanicError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want *PanicError", err)
@@ -254,7 +286,7 @@ func TestStatsCarryStopReason(t *testing.T) {
 	in := expensiveInput(t, 200)
 	q := query(t, `retrieve reach(X, Y).`)
 	e := NewSemiNaive(in, WithLimits(governor.Limits{MaxFacts: 50}))
-	_, err := e.Retrieve(q)
+	_, err := e.RetrieveContext(context.Background(), q)
 	var se *StopError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StopError", err)

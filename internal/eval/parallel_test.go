@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -122,7 +123,7 @@ func TestRunDAGPropagatesError(t *testing.T) {
 // once — stored tuples already derived are suppressed.
 func TestFullLookupSuppressesStoredDuplicates(t *testing.T) {
 	in := load(t, `p(a). p(b).`)
-	e := NewSemiNaive(in).(*bottomUp)
+	e := NewSemiNaive(in).(*engine)
 	d := newDerived(nil)
 	// p(a) is both stored and derived; p(c) only derived; p(b) only stored.
 	for _, name := range []string{"a", "c"} {
@@ -255,17 +256,17 @@ func wideInput(tb testing.TB, chains, length int) Input {
 func TestParallelMatchesSequential(t *testing.T) {
 	in := wideInput(t, 6, 12)
 	q := query(t, `retrieve top(X, Y).`)
-	seq, err := NewSemiNaive(in).Retrieve(q)
+	seq, err := NewSemiNaive(in).RetrieveContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range []Engine{
 		NewSemiNaive(in, WithWorkers(8)),
 		NewNaive(in, WithWorkers(8)),
-		NewMagic(in, WithWorkers(8)),
+		New(in, WithWorkers(8)),
 		NewSemiNaive(in, WithWorkers(0)), // 0 → GOMAXPROCS
 	} {
-		res, err := e.Retrieve(q)
+		res, err := e.RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -288,6 +289,47 @@ func TestParallelEngineNames(t *testing.T) {
 	if got := NewNaive(in, WithWorkers(4)).Name(); got != "naive-par" {
 		t.Errorf("parallel naive name = %q", got)
 	}
+	// The production engine picks its strategy per query; its runs are
+	// named in EvalStats, and only those carry the -par suffix.
+	if got := New(in, WithWorkers(4)).Name(); got != "auto" {
+		t.Errorf("production name = %q", got)
+	}
+}
+
+// randomProgram generates a safe program with several interdependent
+// predicates over nodes n0..n(k-1): two random edge relations and a
+// random subset of range-restricted rule templates, plus the query
+// predicate q(X, Y). It returns the source and the node count.
+func randomProgram(r *rand.Rand) (string, int) {
+	var b strings.Builder
+	nodes := 4 + r.Intn(4)
+	// Two random edge relations.
+	for _, rel := range []string{"e1", "e2"} {
+		for i := 0; i < 8; i++ {
+			fmt.Fprintf(&b, "%s(n%d, n%d).\n", rel, r.Intn(nodes), r.Intn(nodes))
+		}
+	}
+	// Random safe rules over a fixed predicate vocabulary: every rule
+	// template is range-restricted, so any subset forms a safe program.
+	templates := []string{
+		"p1(X, Y) :- e1(X, Y).",
+		"p1(X, Y) :- e1(X, Z), p1(Z, Y).",
+		"p2(X, Y) :- e2(X, Y).",
+		"p2(X, Y) :- p2(X, Z), e2(Z, Y).",
+		"p3(X, Y) :- p1(X, Y), p2(X, Y).",
+		"p3(X, Y) :- p1(X, Z), p2(Z, Y).",
+		"p4(X) :- p3(X, Y).",
+		"p4(X) :- e1(X, X).",
+		"p5(X, Y) :- p3(X, Y), p4(X), p4(Y).",
+	}
+	for _, tpl := range templates {
+		if r.Intn(4) > 0 { // keep most templates, drop some at random
+			b.WriteString(tpl + "\n")
+		}
+	}
+	// Guarantee the queried predicates exist.
+	b.WriteString("q(X, Y) :- p1(X, Y).\nq(X, Y) :- e2(X, Y).\n")
+	return b.String(), nodes
 }
 
 // TestQuickParallelAgreesOnRandomPrograms: randomized safe programs with
@@ -296,38 +338,10 @@ func TestParallelEngineNames(t *testing.T) {
 // synchronization.
 func TestQuickParallelAgreesOnRandomPrograms(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var b strings.Builder
-		nodes := 4 + r.Intn(4)
-		// Two random edge relations.
-		for _, rel := range []string{"e1", "e2"} {
-			for i := 0; i < 8; i++ {
-				fmt.Fprintf(&b, "%s(n%d, n%d).\n", rel, r.Intn(nodes), r.Intn(nodes))
-			}
-		}
-		// Random safe rules over a fixed predicate vocabulary: every rule
-		// template is range-restricted, so any subset forms a safe program.
-		templates := []string{
-			"p1(X, Y) :- e1(X, Y).",
-			"p1(X, Y) :- e1(X, Z), p1(Z, Y).",
-			"p2(X, Y) :- e2(X, Y).",
-			"p2(X, Y) :- p2(X, Z), e2(Z, Y).",
-			"p3(X, Y) :- p1(X, Y), p2(X, Y).",
-			"p3(X, Y) :- p1(X, Z), p2(Z, Y).",
-			"p4(X) :- p3(X, Y).",
-			"p4(X) :- e1(X, X).",
-			"p5(X, Y) :- p3(X, Y), p4(X), p4(Y).",
-		}
-		for _, tpl := range templates {
-			if r.Intn(4) > 0 { // keep most templates, drop some at random
-				b.WriteString(tpl + "\n")
-			}
-		}
-		// Guarantee the queried predicates exist.
-		b.WriteString("q(X, Y) :- p1(X, Y).\nq(X, Y) :- e2(X, Y).\n")
-		in := load(t, b.String())
+		src, _ := randomProgram(rand.New(rand.NewSource(seed)))
+		in := load(t, src)
 		q := query(t, `retrieve q(X, Y).`)
-		base, err := NewNaive(in).Retrieve(q)
+		base, err := NewNaive(in).RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -337,10 +351,10 @@ func TestQuickParallelAgreesOnRandomPrograms(t *testing.T) {
 			NewSemiNaive(in, WithWorkers(8)),
 			NewNaive(in, WithWorkers(8)),
 			NewTopDown(in),
-			NewMagic(in),
-			NewMagic(in, WithWorkers(8)),
+			New(in),
+			New(in, WithWorkers(8)),
 		} {
-			res, err := e.Retrieve(q)
+			res, err := e.RetrieveContext(context.Background(), q)
 			if err != nil {
 				t.Logf("seed %d %s: %v", seed, e.Name(), err)
 				return false
@@ -368,7 +382,7 @@ path(X, Y) :- e(X, Y).
 path(X, Y) :- e(X, Z), path(Z, Y).
 `)
 	e := NewSemiNaive(in)
-	res, err := e.Retrieve(query(t, `retrieve path(X, Y).`))
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,10 +432,10 @@ func TestEvalStatsParallelWorkers(t *testing.T) {
 	q := query(t, `retrieve top(X, Y).`)
 	seq := NewSemiNaive(in)
 	par := NewSemiNaive(in, WithWorkers(4))
-	if _, err := seq.Retrieve(q); err != nil {
+	if _, err := seq.RetrieveContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := par.Retrieve(q); err != nil {
+	if _, err := par.RetrieveContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	sst := seq.(StatsReporter).LastStats()
@@ -451,7 +465,7 @@ func TestEvalStatsParallelWorkers(t *testing.T) {
 func TestTopDownStats(t *testing.T) {
 	in := load(t, universityDB)
 	e := NewTopDown(in)
-	if _, err := e.Retrieve(query(t, `retrieve can_ta(X, databases).`)); err != nil {
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve can_ta(X, databases).`)); err != nil {
 		t.Fatal(err)
 	}
 	st := e.(StatsReporter).LastStats()
@@ -470,7 +484,7 @@ func benchEngineInput(b *testing.B, e Engine, in Input, qs string) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,30 +10,13 @@ import (
 
 // WithProfile makes the engine record one per-rule cost row into p for
 // every rule it evaluates: wall time, rounds, tuples produced, and the
-// storage probe counters split index-hit/full-scan. All four engines
-// honor it. A nil collector disables profiling; the derive path then
+// storage probe counters split index-hit/full-scan. Every engine honors
+// it. A nil collector disables profiling; the derive path then
 // pays a single nil check per rule round and per derived fact (see
 // TestProfileDisabledAllocs), mirroring the provenance hook's
 // zero-overhead contract.
 func WithProfile(p *profile.Profile) EngineOption {
 	return func(c *engineConfig) { c.prof = p }
-}
-
-// profLabel maps a rewrite-generated rule back to its display identity:
-// the magic engine labels each adorned rule with the source rule it was
-// derived from and marks its guard/seed machinery synthetic, so
-// profiles agree across engines.
-type profLabel struct {
-	label     string
-	pred      string
-	synthetic bool
-}
-
-// withProfileLabels attaches the generated-rule → source-rule relabel
-// table (keyed by the generated rule's String()). Unexported: only the
-// magic engine hands it to its inner semi-naive run.
-func withProfileLabels(m map[string]profLabel) EngineOption {
-	return func(c *engineConfig) { c.labels = m }
 }
 
 // ruleSample is one in-progress rule-round measurement.
@@ -57,15 +40,14 @@ type ruleSample struct {
 // checks.
 type ruleProfiler struct {
 	p      *profile.Profile
-	labels map[string]profLabel
 	parent *storage.Counters
 
 	cur   ruleSample
 	stack []ruleSample // saved enclosing samples (top-down nesting)
 }
 
-func newRuleProfiler(p *profile.Profile, labels map[string]profLabel, parent *storage.Counters) *ruleProfiler {
-	return &ruleProfiler{p: p, labels: labels, parent: parent}
+func newRuleProfiler(p *profile.Profile, parent *storage.Counters) *ruleProfiler {
+	return &ruleProfiler{p: p, parent: parent}
 }
 
 // begin opens a sample for one round of r, saving any enclosing sample
@@ -95,15 +77,10 @@ func (rp *ruleProfiler) end() {
 		self = 0
 	}
 	r := rp.cur.rule
-	label, pred, synthetic := r.String(), r.Head.Pred, r.Head.Pred == queryPredName
-	if pl, ok := rp.labels[label]; ok {
-		label, pred, synthetic = pl.label, pl.pred, pl.synthetic
-	}
 	rp.p.Add(profile.Sample{
-		Rule:        label,
-		Pred:        pred,
-		Arity:       len(r.Head.Args),
-		Synthetic:   synthetic,
+		Rule:        r.String(),
+		Pred:        r.Head.Pred,
+		Synthetic:   r.Head.Pred == queryPredName,
 		Wall:        self,
 		Tuples:      rp.cur.tuples,
 		Lookups:     rp.cur.lookups,

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -33,10 +34,11 @@ func TestProfileDisabledAllocs(t *testing.T) {
 }
 
 // TestProfileAcrossEngines is the cross-engine parity check: on a
-// recursive program, all four engines must profile the same set of
-// source rules (synthetic machinery — the query rule, magic guards and
-// seeds — excluded), each with at least one round, and agree on the
-// answers they were profiling in the first place.
+// recursive program, every engine must profile the same set of source
+// rules (the synthetic query rule excluded), each with at least one
+// round, and agree on the answers they were profiling in the first
+// place. The production engine runs this bound goal top-down, and its
+// profile says so.
 func TestProfileAcrossEngines(t *testing.T) {
 	src := `
 edge(a, b). edge(b, c). edge(c, d).
@@ -47,25 +49,28 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		"path(X, Y) :- edge(X, Y).",
 		"path(X, Y) :- edge(X, Z), path(Z, Y).",
 	}
-	mks := map[string]func(Input, ...EngineOption) Engine{
-		"naive":     NewNaive,
-		"seminaive": NewSemiNaive,
-		"topdown":   NewTopDown,
-		"magic":     NewMagic,
+	mks := map[string]struct {
+		mk  func(Input, ...EngineOption) Engine
+		ran string
+	}{
+		"naive":     {NewNaive, "naive"},
+		"seminaive": {NewSemiNaive, "seminaive"},
+		"topdown":   {NewTopDown, "topdown"},
+		"auto":      {New, "topdown"},
 	}
-	for name, mk := range mks {
+	for name, c := range mks {
 		t.Run(name, func(t *testing.T) {
 			p := profile.New()
-			e := mk(load(t, src), WithProfile(p))
-			res, err := e.Retrieve(query(t, `retrieve path(a, Y).`))
+			e := c.mk(load(t, src), WithProfile(p))
+			res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(a, Y).`))
 			if err != nil {
 				t.Fatalf("retrieve: %v", err)
 			}
 			if got := len(res.Tuples); got != 3 {
 				t.Fatalf("answers = %d, want 3", got)
 			}
-			if p.Engine() != name {
-				t.Errorf("profile engine = %q, want %q", p.Engine(), name)
+			if p.Engine() != c.ran {
+				t.Errorf("profile engine = %q, want %q", p.Engine(), c.ran)
 			}
 			if p.Wall() <= 0 {
 				t.Errorf("profile wall = %v, want > 0", p.Wall())
@@ -108,7 +113,7 @@ both(X) :- pa(X), pb(X).
 `
 	p := profile.New()
 	e := NewSemiNaive(load(t, src), WithWorkers(4), WithProfile(p))
-	if _, err := e.Retrieve(query(t, `retrieve both(X).`)); err != nil {
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve both(X).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
 	rules := 0
@@ -133,7 +138,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 `
 	p := profile.New()
 	e := NewSemiNaive(load(t, src), WithProfile(p))
-	if _, err := e.Retrieve(query(t, `retrieve path(X, Y).`)); err != nil {
+	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`)); err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
 	var probes, scans int64

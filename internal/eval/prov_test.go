@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"kdb/internal/prov"
@@ -40,13 +41,13 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		"naive":     NewNaive,
 		"seminaive": NewSemiNaive,
 		"topdown":   NewTopDown,
-		"magic":     NewMagic,
+		"auto":      New,
 	}
 	for name, mk := range mks {
 		in := load(t, src)
 		rec := prov.NewRecorder()
 		e := mk(in, WithProvenance(rec))
-		res, err := e.Retrieve(query(t, `retrieve path(a, Y).`))
+		res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(a, Y).`))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -93,7 +94,7 @@ func benchProvenance(b *testing.B, rec bool) {
 			opts = append(opts, WithProvenance(prov.NewRecorder()))
 		}
 		e := NewSemiNaive(in, opts...)
-		if _, err := e.Retrieve(q); err != nil {
+		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"kdb/internal/parser"
@@ -57,7 +58,7 @@ func TestNonGroundDerivationRejected(t *testing.T) {
 	rules := []term.Rule{{Head: term.NewAtom("p", term.Var("X"))}}
 	in := Input{Store: st, Rules: rules}
 	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
-		_, err := e.Retrieve(Query{Subject: term.NewAtom("p", term.Var("X"))})
+		_, err := e.RetrieveContext(context.Background(), Query{Subject: term.NewAtom("p", term.Var("X"))})
 		if err == nil {
 			t.Errorf("%s must reject a universally quantified bodiless rule", e.Name())
 		}
@@ -79,7 +80,7 @@ r(X) :- p(X, X).
 	// must not panic. (The kb layer rejects this at load; eval stays
 	// defensive.)
 	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
-		if _, err := e.Retrieve(Query{Subject: term.NewAtom("r", term.Var("X"))}); err == nil {
+		if _, err := e.RetrieveContext(context.Background(), Query{Subject: term.NewAtom("r", term.Var("X"))}); err == nil {
 			// Some engines may legitimately answer "empty" here; what we
 			// assert is the absence of panics and, if an error is raised,
 			// that it mentions the predicate.
@@ -109,7 +110,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		},
 	}
 	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
-		res, err := e.Retrieve(q)
+		res, err := e.RetrieveContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -135,7 +136,7 @@ cheap(X, Y) :- hop(X, Z, C), C < 3, cheap(Z, Y).
 `)
 	in := Input{Store: st, Rules: rules}
 	for _, e := range []Engine{NewNaive(in), NewSemiNaive(in), NewTopDown(in)} {
-		res, err := e.Retrieve(Query{Subject: term.NewAtom("cheap", term.Sym("a"), term.Var("Y"))})
+		res, err := e.RetrieveContext(context.Background(), Query{Subject: term.NewAtom("cheap", term.Sym("a"), term.Var("Y"))})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -4,44 +4,22 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
+	"kdb/internal/depgraph"
 	"kdb/internal/governor"
 	"kdb/internal/obs"
-	"kdb/internal/obs/profile"
 	"kdb/internal/prov"
 	"kdb/internal/storage"
 	"kdb/internal/term"
 )
 
-// topDown is a goal-directed engine: SLD resolution over the rules with
-// tabling. Each distinct call pattern (predicate + bound-argument shape)
-// gets a table of ground answers; recursive calls consume the answers
-// derived so far, and an outer driver re-runs the computation until no
-// table grows (naive-iteration tabling). This terminates on all Datalog
-// programs and only ever touches predicates relevant to the goal.
-type topDown struct {
-	in     Input
-	limits governor.Limits
-	rec    *prov.Recorder
-	prof   *profile.Profile
-	stats  atomic.Pointer[EvalStats]
-}
-
-// NewTopDown returns the tabled top-down engine. It ignores WithWorkers
-// (tabling shares one answer-table space across the whole resolution)
-// but honors WithLimits, WithProvenance, and WithProfile.
-func NewTopDown(in Input, opts ...EngineOption) Engine {
-	cfg := buildConfig(opts)
-	return &topDown{in: in, limits: cfg.limits, rec: cfg.rec, prof: cfg.prof}
-}
-
-// Name identifies the engine.
-func (e *topDown) Name() string { return "topdown" }
-
-// LastStats returns the statistics of the most recent Retrieve.
-func (e *topDown) LastStats() *EvalStats { return e.stats.Load() }
+// Top-down evaluation is goal-directed: SLD resolution over the rules
+// with tabling. Each distinct call pattern (predicate + bound-argument
+// shape) gets a table of ground answers; recursive calls consume the
+// answers derived so far, and an outer driver re-runs the computation
+// until no table grows (naive-iteration tabling). This terminates on all
+// Datalog programs and only ever touches predicates relevant to the goal.
 
 // table holds the answers derived so far for one call pattern.
 type table struct {
@@ -53,7 +31,7 @@ type table struct {
 
 type topDownRun struct {
 	in    Input
-	graph map[string][]term.Rule
+	graph *depgraph.Graph
 	rn    term.Renamer
 	gov   *governor.Governor
 	rec   *prov.Recorder
@@ -69,36 +47,17 @@ type topDownRun struct {
 	prof     *ruleProfiler
 }
 
-// Retrieve evaluates the query goal-directed to completion (no
-// context). Configured limits (WithLimits) still apply.
-//
-//kdb:entrypoint
-func (e *topDown) Retrieve(q Query) (*Result, error) {
-	return e.RetrieveContext(context.Background(), q)
-}
-
-// RetrieveContext evaluates the query goal-directed under the governor:
-// the naive-iteration driver checks cancellation and the pass budget
-// between passes, every lookup performs an amortized check, and table
-// allocation and answer insertion are bounded by MaxTableEntries and
-// MaxFacts.
-func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {
-	defer governor.Recover(&err)
-	gov, cancel := governor.New(ctx, e.limits)
-	defer cancel()
+// topDown evaluates the plan goal-directed under the governor: the
+// naive-iteration driver checks cancellation and the pass budget between
+// passes, every lookup performs an amortized check, and table allocation
+// and answer insertion are bounded by MaxTableEntries and MaxFacts.
+func (e *engine) topDown(ctx context.Context, gov *governor.Governor, p *plan) (*Result, error) {
 	sp := obs.SpanFromContext(ctx)
-	asp := sp.Child("analyze")
-	p, err := buildPlan(e.in, q)
-	if err != nil {
-		asp.End()
-		return nil, err
-	}
-	asp.End()
 	// The counters are private to this query and threaded through every
 	// stored-relation probe, so concurrent queries stay independent.
 	run := &topDownRun{
 		in:       e.in,
-		graph:    make(map[string][]term.Rule),
+		graph:    p.graph,
 		gov:      gov,
 		rec:      e.rec,
 		virt:     p.virtual,
@@ -106,15 +65,12 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		counters: &storage.Counters{},
 	}
 	if e.prof != nil {
-		run.prof = newRuleProfiler(e.prof, nil, run.counters)
+		run.prof = newRuleProfiler(e.prof, run.counters)
 	}
 	provStart := e.rec.Len()
-	for _, r := range p.rules {
-		run.graph[r.Head.Pred] = append(run.graph[r.Head.Pred], r)
-	}
 	goal := p.rule.Head
 	evalSp := sp.Child("eval")
-	evalSp.SetStr("engine", e.Name())
+	evalSp.SetStr("engine", "topdown")
 	evalSp.SetInt("workers", 1)
 	start := time.Now()
 	act := obs.ActivityFromContext(ctx)
@@ -144,7 +100,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 		}
 	}
 	stats := &EvalStats{
-		Engine:  e.Name(),
+		Engine:  "topdown",
 		Workers: 1,
 		Passes:  run.pass,
 		Tables:  len(run.tables),
@@ -161,8 +117,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	stats.ProvEntries = e.rec.Len() - provStart
 	stats.StopReason = governor.StopReason(runErr)
 	if e.prof != nil {
-		e.prof.SetEngine(e.Name())
-		e.prof.SetWall(stats.Wall)
+		e.prof.Finish("topdown", stats.Wall)
 	}
 	e.stats.Store(stats)
 	evalSp.SetInt("passes", int64(run.pass))
@@ -171,7 +126,7 @@ func (e *topDown) RetrieveContext(ctx context.Context, q Query) (res *Result, er
 	if runErr != nil {
 		return nil, &StopError{Stats: stats, Err: runErr}
 	}
-	res = &Result{Vars: p.vars}
+	res := &Result{Vars: p.vars}
 	if t, ok := run.tables[callKey(goal)]; ok {
 		t.answers.Scan(func(tp storage.Tuple) bool {
 			res.Tuples = append(res.Tuples, tp.Clone())
@@ -229,7 +184,7 @@ func (r *topDownRun) solveTable(goal term.Atom) error {
 		return nil // already evaluated (or in progress) this pass
 	}
 	t.pass = r.pass
-	for _, rule := range r.graph[goal.Pred] {
+	for _, rule := range r.graph.RulesFor(goal.Pred) {
 		if err := r.solveRule(t, goal, rule); err != nil {
 			return err
 		}
@@ -311,8 +266,7 @@ func (r *topDownRun) lookup(a term.Atom, base term.Subst, fn func(term.Subst) bo
 			return matchRelation(vr, a, base, c, fn)
 		}
 	}
-	rules := r.graph[a.Pred]
-	if len(rules) == 0 {
+	if len(r.graph.RulesFor(a.Pred)) == 0 {
 		return r.in.Store.MatchCounted(a, base, c, fn)
 	}
 	goal := base.Apply(a)

@@ -10,7 +10,7 @@ import (
 // serves and materializes one relation per predicate on demand. The
 // engines consult it only while building a plan: every virtual
 // predicate referenced by the program is snapshotted exactly once per
-// evaluation, so all joins inside one query — and the four engines run
+// evaluation, so all joins inside one query — and the engines run
 // over the same plan inputs — see a single consistent state, never a
 // live view that shifts mid-fixpoint.
 //

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestVirtualSnapshotFreshPerQuery(t *testing.T) {
 	in.Virtual = fv
 	e := NewSemiNaive(in)
 	q := query(t, `retrieve big(X).`)
-	res, err := e.Retrieve(q)
+	res, err := e.RetrieveContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestVirtualSnapshotFreshPerQuery(t *testing.T) {
 		t.Fatalf("first retrieve = %v", got)
 	}
 	fv.rows = append(fv.rows, [2]any{"d", 9.0})
-	res, err = e.Retrieve(q)
+	res, err = e.RetrieveContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

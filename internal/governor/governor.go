@@ -31,15 +31,14 @@ type Limits struct {
 	MaxWall time.Duration
 	// MaxFacts bounds the total number of facts a query may derive
 	// (bottom-up: inserted tuples across all SCCs; top-down: table
-	// answers; magic: facts of the rewritten program, magic seeds
-	// included).
+	// answers).
 	MaxFacts int
 	// MaxIterations bounds the fixpoint rounds of any single recursive
 	// SCC (bottom-up engines) and the naive-iteration passes of the
 	// top-down driver.
 	MaxIterations int
 	// MaxTableEntries bounds the number of distinct call-pattern tables
-	// the top-down engine may allocate.
+	// a top-down evaluation may allocate; bottom-up evaluation has none.
 	MaxTableEntries int
 	// MaxDescribeNodes bounds the search steps of one describe
 	// evaluation. Unlike the describe engine's own MaxNodes option

@@ -46,31 +46,38 @@ reachable(X, Y) :- flight(X, Y).
 reachable(X, Y) :- flight(X, Z), reachable(Z, Y).
 `
 
-var allEngines = []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic}
-
-func loadEngineKB(t *testing.T, src string, engine EngineKind, parallel int) *KB {
+func loadParallelKB(t *testing.T, src string, parallel int) *KB {
 	t.Helper()
 	k := New(WithParallelism(parallel))
 	if err := k.LoadString(src); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.SetEngine(engine); err != nil {
-		t.Fatal(err)
-	}
 	return k
+}
+
+// checkRanOn fails the test unless the kb's last evaluation ran on the
+// named strategy.
+func checkRanOn(t *testing.T, k *KB, engine string) {
+	t.Helper()
+	if st := k.LastStats(); st == nil || !strings.HasPrefix(st.Engine, engine) {
+		t.Errorf("ran on %+v, want %s", st, engine)
+	}
 }
 
 // TestExplainParityAcrossEngines pins the exact rendered derivation
 // trees of facts with a unique derivation — including the recursive
-// prior — and requires every engine (and the parallel bottom-up
-// variants) to produce the identical explanation.
+// prior — and requires both strategies the kb picks from to produce
+// the identical explanation. Each case states a ground goal, which runs
+// top-down, and the same goal with its constants bound by equalities,
+// which runs semi-naive (sequential and parallel).
 func TestExplainParityAcrossEngines(t *testing.T) {
 	cases := []struct {
-		stmt string
-		want string
+		stmt, free string
+		want       string
 	}{
 		{
 			stmt: "explain honor(ann).",
+			free: "explain honor(X) where X = ann.",
 			want: `honor(ann)  [r1]
   student(ann, math, 3.9)  [edb]
   3.9 > 3.7  [builtin]
@@ -81,6 +88,7 @@ rules:
 		},
 		{
 			stmt: "explain can_ta(ann, databases).",
+			free: "explain can_ta(X, Y) where X = ann and Y = databases.",
 			want: `can_ta(ann, databases)  [r1]
   honor(ann)  [r2]
     student(ann, math, 3.9)  [edb]
@@ -97,6 +105,7 @@ rules:
 		},
 		{
 			stmt: "explain prior(databases, programming).",
+			free: "explain prior(X, Y) where X = databases and Y = programming.",
 			want: `prior(databases, programming)  [r1]
   prereq(databases, datastructures)  [edb]
   prior(datastructures, programming)  [r2]
@@ -108,18 +117,19 @@ rules:
 `,
 		},
 	}
-	for _, engine := range allEngines {
-		for _, parallel := range []int{1, 4} {
-			for _, tc := range cases {
-				k := loadEngineKB(t, universityProgram, engine, parallel)
-				res, err := k.ExecString(tc.stmt)
+	for _, parallel := range []int{1, 4} {
+		for _, tc := range cases {
+			for stmt, engine := range map[string]string{tc.stmt: "topdown", tc.free: "seminaive"} {
+				k := loadParallelKB(t, universityProgram, parallel)
+				res, err := k.ExecString(stmt)
 				if err != nil {
-					t.Fatalf("%s/p%d %s: %v", engine, parallel, tc.stmt, err)
+					t.Fatalf("p%d %s: %v", parallel, stmt, err)
 				}
+				checkRanOn(t, k, engine)
 				got := res.Explanation.String()
 				if got != tc.want {
 					t.Errorf("%s/p%d %s:\n got:\n%s\nwant:\n%s",
-						engine, parallel, tc.stmt, got, tc.want)
+						engine, parallel, stmt, got, tc.want)
 				}
 			}
 		}
@@ -131,23 +141,32 @@ rules:
 // the same airports): every engine must still justify every answer with
 // a well-formed tree — derived nodes carry a rule and children, leaves
 // are stored facts or comparisons, and nothing is unknown or truncated.
+// The bound goal runs top-down; its equality-bound twin runs semi-naive.
 // With -race and parallel workers this doubles as the recorder's
 // concurrency test.
 func TestExplainRecursiveSound(t *testing.T) {
-	for _, engine := range allEngines {
+	x, y := term.Var("X"), term.Var("Y")
+	for _, engine := range []string{"topdown", "seminaive"} {
+		subject := term.NewAtom("reachable", term.Sym("la"), y)
+		var where term.Formula
+		if engine == "seminaive" {
+			subject = term.NewAtom("reachable", x, y)
+			where = term.Formula{term.NewAtom(term.PredEq, x, term.Sym("la"))}
+		}
 		for _, parallel := range []int{1, 4} {
-			k := loadEngineKB(t, routesProgram, engine, parallel)
-			exp, err := k.Explain(term.NewAtom("reachable", term.Sym("la"), term.Var("Y")), nil)
+			k := loadParallelKB(t, routesProgram, parallel)
+			exp, err := k.Explain(subject, where)
 			if err != nil {
 				t.Fatalf("%s/p%d: %v", engine, parallel, err)
 			}
+			checkRanOn(t, k, engine)
 			// Every airport is reachable from la (the graph is one cycle
 			// plus the dal chord).
 			if len(exp.Trees) != 6 {
 				t.Fatalf("%s/p%d: %d answers, want 6", engine, parallel, len(exp.Trees))
 			}
 			for _, tree := range exp.Trees {
-				checkSound(t, k, tree, string(engine))
+				checkSound(t, k, tree, engine)
 			}
 		}
 	}
@@ -180,12 +199,16 @@ func checkSound(t *testing.T, k *KB, n *prov.Node, engine string) {
 // TestExplainProvenanceLimit exercises the governor's
 // MaxProvenanceEntries bound: a recursive explain over the routes
 // program records more witnesses than the limit allows and must stop
-// with a structured LimitError.
+// with a structured LimitError, on both strategies.
 func TestExplainProvenanceLimit(t *testing.T) {
-	for _, engine := range allEngines {
-		k := loadEngineKB(t, routesProgram, engine, 1)
+	for stmt, engine := range map[string]string{
+		"explain reachable(la, ny).":                       "topdown",
+		"explain reachable(X, Y) where X = la and Y = ny.": "seminaive",
+	} {
+		k := loadParallelKB(t, routesProgram, 1)
 		k.SetQueryLimits(governor.Limits{MaxProvenanceEntries: 3})
-		_, err := k.ExecString("explain reachable(la, ny).")
+		_, err := k.ExecString(stmt)
+		checkRanOn(t, k, engine)
 		if err == nil {
 			t.Fatalf("%s: no error with MaxProvenanceEntries=3", engine)
 		}
@@ -223,7 +246,7 @@ func TestExplainStatement(t *testing.T) {
 		}
 	}
 	// The where qualifier restricts which answers get explained.
-	k := loadEngineKB(t, routesProgram, EngineSemiNaive, 1)
+	k := loadParallelKB(t, routesProgram, 1)
 	res, err := k.ExecString("explain reachable(la, X) where flight(X, la).")
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +258,7 @@ func TestExplainStatement(t *testing.T) {
 
 // TestExplainEmptyAnswer pins the no-derivation rendering.
 func TestExplainEmptyAnswer(t *testing.T) {
-	k := loadEngineKB(t, routesProgram, EngineSemiNaive, 1)
+	k := loadParallelKB(t, routesProgram, 1)
 	res, err := k.ExecString("explain reachable(la, mars).")
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +272,7 @@ func TestExplainEmptyAnswer(t *testing.T) {
 // rules (an EDB predicate promoted by a later rule) must show its stored
 // tuples as edb leaves, not derived or unknown.
 func TestExplainStoredPromotedFact(t *testing.T) {
-	k := loadEngineKB(t, `vip(ann).`, EngineSemiNaive, 1)
+	k := loadParallelKB(t, `vip(ann).`, 1)
 	if err := k.LoadString(`
 vip(X) :- sponsor(X, Y), vip(Y).
 sponsor(bob, ann).

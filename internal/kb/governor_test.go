@@ -26,18 +26,20 @@ func cycleKB(t testing.TB, n int) *KB {
 	return loadKB(t, sb.String())
 }
 
+// TestKBContextDeadline: the deadline stops a query on either strategy
+// the kb picks — semi-naive for the free goal, top-down for the bound
+// one.
 func TestKBContextDeadline(t *testing.T) {
-	for _, engine := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-		engine := engine
-		t.Run(string(engine), func(t *testing.T) {
+	for _, tc := range []struct{ engine, stmt string }{
+		{"seminaive", `retrieve reach(X, Y).`},
+		{"topdown", `retrieve reach(n0, Y).`},
+	} {
+		t.Run(tc.engine, func(t *testing.T) {
 			k := cycleKB(t, 500)
-			if err := k.SetEngine(engine); err != nil {
-				t.Fatal(err)
-			}
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := k.ExecStringContext(ctx, `retrieve reach(X, Y).`)
+			_, err := k.ExecStringContext(ctx, tc.stmt)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("err = %v, want to wrap context.DeadlineExceeded", err)
 			}
@@ -45,8 +47,8 @@ func TestKBContextDeadline(t *testing.T) {
 				t.Errorf("took %v to observe the deadline", elapsed)
 			}
 			// The governed stop must be observable after the fact.
-			if st := k.LastStats(); st == nil || st.StopReason != "deadline" {
-				t.Errorf("LastStats = %+v, want StopReason deadline", st)
+			if st := k.LastStats(); st == nil || st.StopReason != "deadline" || st.Engine != tc.engine {
+				t.Errorf("LastStats = %+v, want StopReason deadline on %s", st, tc.engine)
 			}
 		})
 	}

@@ -32,17 +32,6 @@ import (
 	"kdb/internal/term"
 )
 
-// EngineKind selects the retrieve evaluation strategy.
-type EngineKind string
-
-// Retrieve engines.
-const (
-	EngineNaive     EngineKind = "naive"
-	EngineSemiNaive EngineKind = "seminaive"
-	EngineTopDown   EngineKind = "topdown"
-	EngineMagic     EngineKind = "magic"
-)
-
 // ErrClosed is returned (via errors.Is) by every query and mutation
 // entry point after Close: callers holding a stale handle get a
 // structured, recognizable error instead of a raw I/O failure from the
@@ -62,8 +51,6 @@ type KB struct {
 	rules []term.Rule
 	//kdb:guarded-by mu
 	constraints []term.Formula
-	//kdb:guarded-by mu
-	engine EngineKind
 	//kdb:guarded-by mu
 	parallelism int
 	//kdb:guarded-by mu
@@ -151,7 +138,7 @@ func WithQueryLimits(l governor.Limits) Option {
 
 // New returns an empty in-memory knowledge base.
 func New(opts ...Option) *KB {
-	k := &KB{cat: catalog.New(), store: storage.NewMemory(), engine: EngineSemiNaive, parallelism: 1,
+	k := &KB{cat: catalog.New(), store: storage.NewMemory(), parallelism: 1,
 		sys: sysrel.NewProvider()}
 	for _, o := range opts {
 		o(k)
@@ -167,7 +154,7 @@ func Open(dir string, opts ...Option) (*KB, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := &KB{cat: catalog.New(), store: st, engine: EngineSemiNaive, parallelism: 1,
+	k := &KB{cat: catalog.New(), store: st, parallelism: 1,
 		sys: sysrel.NewProvider()}
 	for _, o := range opts {
 		o(k)
@@ -238,19 +225,6 @@ func (k *KB) DurabilityErr() error {
 // statements validated at generation g remain valid while Generation
 // reports g.
 func (k *KB) Generation() uint64 { return k.gen.Load() }
-
-// SetEngine selects the retrieve engine (default: semi-naive).
-func (k *KB) SetEngine(e EngineKind) error {
-	switch e {
-	case EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic:
-		k.mu.Lock()
-		k.engine = e
-		k.mu.Unlock()
-		return nil
-	default:
-		return fmt.Errorf("kb: unknown engine %q", e)
-	}
-}
 
 // SetParallelism sets the bottom-up worker count (see WithParallelism);
 // n <= 0 selects GOMAXPROCS.
@@ -735,9 +709,10 @@ func (k *KB) Validate() []string {
 	return out
 }
 
-// newEngine builds the configured retrieve engine over the current
-// state, governed by the context's effective limits; extra options
-// (e.g. a provenance recorder) are appended. Callers hold k.mu.
+// newEngine builds the retrieve engine over the current state, governed
+// by the context's effective limits; extra options (e.g. a provenance
+// recorder) are appended. The engine picks its strategy per query.
+// Callers hold k.mu.
 //
 //kdb:rlocked mu
 func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Engine {
@@ -752,16 +727,7 @@ func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Eng
 		eval.WithWorkers(k.parallelism),
 		eval.WithLimits(k.effectiveLimitsLocked(ctx)),
 	}, extra...)
-	switch k.engine {
-	case EngineNaive:
-		return eval.NewNaive(in, opts...)
-	case EngineTopDown:
-		return eval.NewTopDown(in, opts...)
-	case EngineMagic:
-		return eval.NewMagic(in, opts...)
-	default:
-		return eval.NewSemiNaive(in, opts...)
-	}
+	return eval.New(in, opts...)
 }
 
 // Retrieve evaluates a data query (§3.1). The configured query limits
@@ -893,7 +859,7 @@ func (k *KB) Explain(subject term.Atom, where term.Formula) (*prov.Explanation, 
 // Trees are cycle-safe for recursive predicates; leaves distinguish
 // stored facts (edb) from comparisons (builtin). The same recording
 // works on every engine, so an explain is a cross-checkable artifact:
-// all four engines must justify a fact by some valid tree.
+// every engine must justify a fact by some valid tree.
 func (k *KB) ExplainContext(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
 	k.mu.RLock()
 	if k.closed {

@@ -1,12 +1,13 @@
 package kb
 
 import (
+	"context"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"kdb/internal/core"
+	"kdb/internal/eval"
 	"kdb/internal/parser"
 	"kdb/internal/term"
 )
@@ -61,6 +62,40 @@ func execStr(t testing.TB, k *KB, q string) string {
 		t.Fatalf("exec %q: %v", q, err)
 	}
 	return res.String()
+}
+
+// retrieveEachEngine runs a retrieve statement through the kb, which
+// picks its strategy, and through every eval engine over the kb's own
+// state, and fails the test unless all of them answer alike. It returns
+// the kb's answers, sorted.
+func retrieveEachEngine(t *testing.T, k *KB, stmt string) []string {
+	t.Helper()
+	q, err := parser.ParseQuery(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := q.(*parser.Retrieve)
+	if !ok {
+		t.Fatalf("%s is not a retrieve", stmt)
+	}
+	res, err := k.Retrieve(r.Subject, r.Where)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	want := res.Strings()
+	k.mu.RLock()
+	in := eval.Input{Store: k.store, Rules: k.rules, Virtual: k.sys.View(k.store, k.rules)}
+	k.mu.RUnlock()
+	for _, e := range []eval.Engine{eval.NewNaive(in), eval.NewSemiNaive(in), eval.NewTopDown(in)} {
+		got, err := e.RetrieveContext(context.Background(), eval.Query{Subject: r.Subject, Where: r.Where})
+		if err != nil {
+			t.Fatalf("%s: %s: %v", e.Name(), stmt, err)
+		}
+		if !reflect.DeepEqual(got.Strings(), want) {
+			t.Errorf("%s: %s = %v, kb (%s) = %v", e.Name(), stmt, got.Strings(), k.LastStats().Engine, want)
+		}
+	}
+	return want
 }
 
 func TestLoadClassifiesPredicates(t *testing.T) {
@@ -189,20 +224,20 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
+// TestEngines: the kb runs a bound goal top-down and the same goal bound
+// by an equality semi-naive, and both render the same answers.
 func TestEngines(t *testing.T) {
 	k := loadKB(t, universityKB)
-	var results []string
-	for _, e := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-		if err := k.SetEngine(e); err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, execStr(t, k, `retrieve prior(databases, Y).`))
+	bound := execStr(t, k, `retrieve prior(databases, Y).`)
+	if st := k.LastStats(); st.Engine != "topdown" {
+		t.Errorf("bound goal ran on %s, want topdown", st.Engine)
 	}
-	if results[0] != results[1] || results[1] != results[2] {
-		t.Errorf("engines disagree: %q", results)
+	free := execStr(t, k, `retrieve prior(X, Y) where X = databases.`)
+	if st := k.LastStats(); st.Engine != "seminaive" {
+		t.Errorf("equality-bound goal ran on %s, want seminaive", st.Engine)
 	}
-	if err := k.SetEngine("quantum"); err == nil {
-		t.Error("unknown engine must fail")
+	if bound != free || !strings.Contains(bound, "prior(databases, programming)") {
+		t.Errorf("engines disagree: %q vs %q", bound, free)
 	}
 }
 
@@ -320,16 +355,8 @@ func TestRetrieveAllExamplesAgainstAllEngines(t *testing.T) {
 	}
 	k := loadKB(t, universityKB)
 	for _, q := range queries {
-		var outs []string
-		for _, e := range []EngineKind{EngineNaive, EngineSemiNaive, EngineTopDown, EngineMagic} {
-			if err := k.SetEngine(e); err != nil {
-				t.Fatal(err)
-			}
-			outs = append(outs, execStr(t, k, q))
-		}
-		sort.Strings(outs)
-		if !reflect.DeepEqual(outs[0], outs[len(outs)-1]) {
-			t.Errorf("query %q: engines disagree: %q", q, outs)
+		if len(retrieveEachEngine(t, k, q)) == 0 {
+			t.Errorf("query %q: no answers", q)
 		}
 	}
 }

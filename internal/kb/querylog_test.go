@@ -63,7 +63,8 @@ func TestQueryLogRecordsQueries(t *testing.T) {
 	if recs[1].Kind != "retrieve" || recs[1].Stmt != "retrieve reachable(la, X)." {
 		t.Errorf("retrieve record: %+v", recs[1])
 	}
-	if recs[1].Engine != "seminaive" || recs[1].Facts == 0 {
+	// The bound goal runs top-down, and the record names that engine.
+	if recs[1].Engine != "topdown" || recs[1].Facts == 0 {
 		t.Errorf("retrieve record missing eval deltas: %+v", recs[1])
 	}
 	if recs[1].ProvEntries != 0 {

@@ -8,8 +8,7 @@
 //
 // The package is deliberately self-contained (no engine imports): rules
 // are identified by their source text, so the same collector serves the
-// bottom-up, top-down, and magic engines, and the magic rewrite can
-// relabel its generated rules with the source rules they came from.
+// bottom-up and top-down engines.
 package profile
 
 import (
@@ -30,11 +29,8 @@ type Sample struct {
 	Rule string
 	// Pred is the rule's head predicate.
 	Pred string
-	// Arity is the head arity, used for the allocation estimate.
-	Arity int
-	// Synthetic marks rules the evaluation invented (the query rule,
-	// magic guards and seeds); renderers set them apart and parity
-	// checks skip them.
+	// Synthetic marks rules the evaluation invented (the query rule);
+	// renderers set them apart and parity checks skip them.
 	Synthetic bool
 	// Wall is the time spent joining the rule's body this round.
 	Wall time.Duration
@@ -70,16 +66,7 @@ type Row struct {
 	// DeltaSizes is the per-round count of new tuples, in round order
 	// (the semi-naive delta trajectory; top-down: per-pass growth).
 	DeltaSizes []int64 `json:"delta_sizes,omitempty"`
-	// AllocBytes estimates the memory the rule's derived tuples
-	// retain: Tuples × (24 + 16 × arity) — a slice header plus one
-	// two-word term per column. An estimate, not a measurement: the
-	// engines do not instrument the allocator.
-	AllocBytes int64 `json:"alloc_bytes"`
 }
-
-// tupleBytes estimates the retained size of one derived tuple of the
-// given arity (slice header + two words per term).
-func tupleBytes(arity int) int64 { return 24 + 16*int64(arity) }
 
 // Profile accumulates samples into per-rule rows. It is safe for
 // concurrent use (the parallel scheduler's SCC workers all report to
@@ -116,13 +103,14 @@ func (p *Profile) Add(s Sample) {
 	r.Candidates += s.Candidates
 	r.IndexBuilds += s.IndexBuilds
 	r.DeltaSizes = append(r.DeltaSizes, s.Tuples)
-	r.AllocBytes += s.Tuples * tupleBytes(s.Arity)
 }
 
-// SetEngine records which engine produced the samples.
-func (p *Profile) SetEngine(name string) {
+// Finish records which engine produced the samples and the whole
+// evaluation's wall time (the per-rule rows only cover rule-body joins,
+// not planning or scheduling).
+func (p *Profile) Finish(engine string, wall time.Duration) {
 	p.mu.Lock()
-	p.engine = name
+	p.engine, p.wall = engine, wall
 	p.mu.Unlock()
 }
 
@@ -131,14 +119,6 @@ func (p *Profile) Engine() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.engine
-}
-
-// SetWall records the whole evaluation's wall time (the per-rule rows
-// only cover rule-body joins, not planning or scheduling).
-func (p *Profile) SetWall(d time.Duration) {
-	p.mu.Lock()
-	p.wall = d
-	p.mu.Unlock()
 }
 
 // Wall returns the recorded evaluation wall time.
@@ -197,8 +177,8 @@ func (p *Profile) WriteText(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "  %-4s wall=%-10s iters=%-3d tuples=%-6d lookups=%d\n",
 			marker, r.Wall, r.Iterations, r.Tuples, r.Lookups)
-		fmt.Fprintf(&b, "       probes=%d (index %d, scan %d) candidates=%d index-builds=%d alloc~%s\n",
-			r.Probes, r.Probes-r.FullScans, r.FullScans, r.Candidates, r.IndexBuilds, sizeString(r.AllocBytes))
+		fmt.Fprintf(&b, "       probes=%d (index %d, scan %d) candidates=%d index-builds=%d\n",
+			r.Probes, r.Probes-r.FullScans, r.FullScans, r.Candidates, r.IndexBuilds)
 		if len(r.DeltaSizes) > 1 {
 			fmt.Fprintf(&b, "       deltas=%s\n", deltaString(r.DeltaSizes))
 		}
@@ -236,18 +216,6 @@ func deltaString(ds []int64) string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// sizeString renders a byte estimate human-readably (B / KiB / MiB).
-func sizeString(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 // MarshalJSON emits the engine, total wall time, and merged rows

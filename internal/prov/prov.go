@@ -29,44 +29,22 @@ type Witness struct {
 	Body   []term.Atom
 }
 
-// recorderState is the shared core of a Recorder; rewritten views (see
-// Rewritten) alias it so the magic engine records into the same store.
-type recorderState struct {
+// Recorder accumulates witnesses during one evaluation. It is safe for
+// concurrent use (the parallel scheduler shares it across SCC workers).
+// All methods are nil-safe so ungoverned call sites stay trivial.
+type Recorder struct {
 	mu        sync.Mutex
 	witnesses map[string]*Witness // fact key → first witness
 	ruleIDs   map[string]int      // rule key → id (index into rules)
 	rules     []term.Rule
 }
 
-// Recorder accumulates witnesses during one evaluation. It is safe for
-// concurrent use (the parallel scheduler shares it across SCC workers).
-// All methods are nil-safe so ungoverned call sites stay trivial.
-type Recorder struct {
-	state *recorderState
-	// rewrite, when set, maps each atom before recording and may drop
-	// it (the magic engine strips adornments and discards magic
-	// guards). Returning ok=false for a fact skips the whole witness;
-	// for a parent it removes just that parent.
-	rewrite func(term.Atom) (term.Atom, bool)
-}
-
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{state: &recorderState{
+	return &Recorder{
 		witnesses: make(map[string]*Witness),
 		ruleIDs:   make(map[string]int),
-	}}
-}
-
-// Rewritten returns a view of r that applies fn to every fact, parent,
-// and rule atom before recording into the same underlying store. The
-// magic engine uses it to record witnesses under the original
-// (unadorned) predicate names of the source program.
-func (r *Recorder) Rewritten(fn func(term.Atom) (term.Atom, bool)) *Recorder {
-	if r == nil {
-		return nil
 	}
-	return &Recorder{state: r.state, rewrite: fn}
 }
 
 // Record stores the first witness for fact: rule fired under
@@ -82,75 +60,38 @@ func (r *Recorder) Record(fact term.Atom, rule term.Rule, body term.Formula, s t
 	if r == nil {
 		return 0
 	}
-	if r.rewrite != nil {
-		var ok bool
-		if fact, ok = r.rewrite(fact); !ok {
-			return r.Len()
-		}
-	}
 	key := fact.Key()
-	st := r.state
 
-	st.mu.Lock()
-	if _, dup := st.witnesses[key]; dup {
-		n := len(st.witnesses)
-		st.mu.Unlock()
+	r.mu.Lock()
+	if _, dup := r.witnesses[key]; dup {
+		n := len(r.witnesses)
+		r.mu.Unlock()
 		return n
 	}
-	st.mu.Unlock()
+	r.mu.Unlock()
 
 	// Build the witness outside the lock: Key/Apply allocate and the
 	// parallel engines contend on this recorder.
 	w := &Witness{Fact: fact}
 	for _, a := range body {
-		ground := s.Apply(a)
-		if !term.IsComparison(ground) && r.rewrite != nil {
-			var ok bool
-			if ground, ok = r.rewrite(ground); !ok {
-				continue
-			}
-		}
-		w.Body = append(w.Body, ground)
+		w.Body = append(w.Body, s.Apply(a))
 	}
-	display := rule
-	if r.rewrite != nil {
-		display = r.rewriteRule(rule)
-	}
-	ruleKey := display.Key()
+	ruleKey := rule.Key()
 
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.witnesses[key]; dup { // lost the race to another worker
-		return len(st.witnesses)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.witnesses[key]; dup { // lost the race to another worker
+		return len(r.witnesses)
 	}
-	id, ok := st.ruleIDs[ruleKey]
+	id, ok := r.ruleIDs[ruleKey]
 	if !ok {
-		id = len(st.rules)
-		st.ruleIDs[ruleKey] = id
-		st.rules = append(st.rules, display)
+		id = len(r.rules)
+		r.ruleIDs[ruleKey] = id
+		r.rules = append(r.rules, rule)
 	}
 	w.RuleID = id
-	st.witnesses[key] = w
-	return len(st.witnesses)
-}
-
-// rewriteRule maps a rule of the rewritten program back to presentation
-// form: the head and every body atom go through the rewrite hook, and
-// dropped atoms (magic guards) disappear from the body. Comparisons are
-// kept as-is.
-func (r *Recorder) rewriteRule(rule term.Rule) term.Rule {
-	head, _ := r.rewrite(rule.Head)
-	out := term.Rule{Head: head, Pos: rule.Pos}
-	for _, a := range rule.Body {
-		if term.IsComparison(a) {
-			out.Body = append(out.Body, a)
-			continue
-		}
-		if b, ok := r.rewrite(a); ok {
-			out.Body = append(out.Body, b)
-		}
-	}
-	return out
+	r.witnesses[key] = w
+	return len(r.witnesses)
 }
 
 // Len returns the number of recorded witnesses.
@@ -158,21 +99,21 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.state.mu.Lock()
-	defer r.state.mu.Unlock()
-	return len(r.state.witnesses)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.witnesses)
 }
 
 // witness returns the recorded witness for the ground atom, or nil.
 func (r *Recorder) witness(key string) *Witness {
-	r.state.mu.Lock()
-	defer r.state.mu.Unlock()
-	return r.state.witnesses[key]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.witnesses[key]
 }
 
 // rule returns the interned rule with the given id.
 func (r *Recorder) rule(id int) term.Rule {
-	r.state.mu.Lock()
-	defer r.state.mu.Unlock()
-	return r.state.rules[id]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rules[id]
 }

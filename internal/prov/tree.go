@@ -24,8 +24,8 @@ const (
 	// NodeBuiltin is a ground comparison that held (e.g. 3.9 > 3.7).
 	NodeBuiltin
 	// NodeCycle marks a fact already being expanded higher on the same
-	// path; reconstruction cuts here so recursive witnesses (possible
-	// after the magic engine collapses adorned variants) terminate.
+	// path; reconstruction cuts here so a self-supporting witness graph
+	// cannot make it recurse forever.
 	NodeCycle
 	// NodeUnknown is a fact with no witness and no stored tuple — the
 	// recorder was bounded, or the fact came from outside the query.

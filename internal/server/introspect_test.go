@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"kdb/internal/kb"
 	"kdb/internal/obs"
 )
 
@@ -49,7 +48,7 @@ func denseClosure(n int) string {
 // through the endpoint fails the request with 499, and the entry is
 // gone once the evaluation unwinds.
 func TestActivityLifecycle(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Engine: kb.EngineNaive})
+	_, ts, _ := newTestServer(t, Config{})
 	if code, out := post(t, ts, "/v1/kb/alpha/load", map[string]any{"program": denseClosure(90)}); code != http.StatusOK {
 		t.Fatalf("load: %d %v", code, out)
 	}

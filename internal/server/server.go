@@ -75,9 +75,6 @@ type Config struct {
 	// clamped against it, so clients may tighten but never loosen it.
 	// The zero value leaves requests ungoverned unless they ask.
 	Ceiling governor.Limits
-	// Engine selects the retrieve engine for every tenant (default
-	// semi-naive).
-	Engine kb.EngineKind
 	// Parallelism is the bottom-up worker count per query (default 1).
 	Parallelism int
 	// PreparedCacheSize bounds the prepared-statement LRU (default 256).
@@ -167,9 +164,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
-	}
-	if cfg.Engine == "" {
-		cfg.Engine = kb.EngineSemiNaive
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -278,10 +272,6 @@ func (s *Server) openKB(name string) (*kb.KB, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if err := k.SetEngine(s.cfg.Engine); err != nil {
-		k.Close()
-		return nil, err
 	}
 	// Every tenant's sys_tenant relation sees the whole server, like
 	// /healthz does.

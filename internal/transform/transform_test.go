@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -222,7 +223,7 @@ func extensionOf(t testing.TB, st *storage.Store, rs []term.Rule, q string) []st
 		t.Fatal(err)
 	}
 	r := pq.(*parser.Retrieve)
-	res, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: rs}).Retrieve(eval.Query{Subject: r.Subject, Where: r.Where})
+	res, err := eval.NewSemiNaive(eval.Input{Store: st, Rules: rs}).RetrieveContext(context.Background(), eval.Query{Subject: r.Subject, Where: r.Where})
 	if err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
@@ -381,7 +382,7 @@ func BenchmarkTransformedEvaluationOverhead(b *testing.B) {
 	b.Run("original", func(b *testing.B) {
 		e := eval.NewSemiNaive(eval.Input{Store: st, Rules: orig})
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Retrieve(q); err != nil {
+			if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,7 +390,7 @@ func BenchmarkTransformedEvaluationOverhead(b *testing.B) {
 	b.Run("transformed", func(b *testing.B) {
 		e := eval.NewSemiNaive(eval.Input{Store: st, Rules: res.Rules})
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Retrieve(q); err != nil {
+			if _, err := e.RetrieveContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
