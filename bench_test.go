@@ -41,7 +41,7 @@ func benchQuery(b *testing.B, k *kdb.KB, q string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Exec(query); err != nil {
+		if _, err := k.ExecContext(context.Background(), query); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -80,7 +81,7 @@ func checkFile(path string, out io.Writer) (errors, warnings int) {
 		fmt.Fprintf(out, "%s: error: %v\n", path, err)
 		return errors + 1, warnings
 	}
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil {
 		fmt.Fprintf(out, "%s: error: %v\n", path, err)
 		errors++

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -315,7 +316,7 @@ type benchResult struct {
 }
 
 // benchReport is the top-level BENCH_PR9.json document. Workloads run
-// the library path (direct ExecString calls); ServerWorkloads run the
+// the library path (direct ExecStringContext calls); ServerWorkloads run the
 // same statements through the `kdb serve` HTTP data plane, so the two
 // sections bracket the cost of the server layer.
 type benchReport struct {
@@ -379,7 +380,7 @@ func runBench(dataDir, path string, iters int, out io.Writer) error {
 			return fmt.Errorf("workload %s: setup: %w", w.ID, err)
 		}
 		for i := 0; i < iters; i++ {
-			if _, err := k.ExecString(w.Query); err != nil {
+			if _, err := k.ExecStringContext(context.Background(), w.Query); err != nil {
 				return fmt.Errorf("workload %s: %w", w.ID, err)
 			}
 		}
@@ -475,7 +476,7 @@ func runOne(e experiment, dataDir string, showStats bool, out io.Writer) bool {
 		fmt.Fprintf(out, "   status:   ERROR (setup: %v)\n", err)
 		return false
 	}
-	res, err := k.ExecString(e.query)
+	res, err := k.ExecStringContext(context.Background(), e.query)
 	if err != nil {
 		fmt.Fprintf(out, "   status:   ERROR (%v)\n", err)
 		return false

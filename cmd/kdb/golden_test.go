@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -55,7 +56,7 @@ func TestGoldenExplainJSON(t *testing.T) {
 	if err := k.LoadFile(dataFile(t)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.ExecString(`explain can_ta(ann, databases).`)
+	res, err := k.ExecStringContext(context.Background(), `explain can_ta(ann, databases).`)
 	if err != nil {
 		t.Fatal(err)
 	}

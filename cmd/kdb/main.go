@@ -590,7 +590,9 @@ other:
 		fmt.Fprint(out, k.Catalog())
 	case ".validate":
 		issues := k.Validate()
-		violations, err := k.CheckConstraints()
+		ctx, done := sh.queryContext()
+		violations, err := k.CheckConstraintsContext(ctx)
+		done()
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			return false

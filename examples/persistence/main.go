@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,6 +25,7 @@ honor(X) :- student(X, M, G), G > 3.7.
 `
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "kdb-persist-*")
 	if err != nil {
 		log.Fatal(err)
@@ -60,14 +62,14 @@ student(bob, cs, 3.5).
 		log.Fatal(err)
 	}
 	fmt.Printf("session 2: recovered %d facts from the write-ahead log\n", k2.FactCount())
-	res, err := k2.ExecString(`retrieve honor(X).`)
+	res, err := k2.ExecStringContext(ctx, `retrieve honor(X).`)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("session 2: retrieve honor(X) →\n%s\n", res)
 
 	// Checkpoint folds the log into a snapshot and truncates it.
-	if err := k2.Checkpoint(); err != nil {
+	if err := k2.CheckpointContext(ctx); err != nil {
 		log.Fatal(err)
 	}
 	walSize := fileSize(filepath.Join(dir, "kdb.wal"))
@@ -101,7 +103,7 @@ student(bob, cs, 3.5).
 	if err := k3.Assert(kdb.NewAtom("student", kdb.Sym("dan"), kdb.Sym("cs"), kdb.Num(4))); err != nil {
 		log.Fatal(err)
 	}
-	res, err = k3.ExecString(`retrieve honor(X).`)
+	res, err = k3.ExecStringContext(ctx, `retrieve honor(X).`)
 	if err != nil {
 		log.Fatal(err)
 	}

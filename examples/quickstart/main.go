@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	k := kdb.New()
 
 	// Facts and rules use the same Horn-clause language (§2.1).
@@ -47,7 +49,7 @@ honor(X) :- student(X, M, G), G > 3.7.
 		`describe honor(X) where student(X, math, V) and V > 3.8.`,
 	}
 	for _, q := range queries {
-		res, err := k.ExecString(q)
+		res, err := k.ExecStringContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}

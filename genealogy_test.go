@@ -5,6 +5,7 @@ package kdb_test
 // (married), keys, and an integrity constraint in one program.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestGenealogyRetrieve(t *testing.T) {
 		t.Error("dora and fred are cousins")
 	}
 	// The data satisfies the acyclicity constraint.
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil || len(violations) != 0 {
 		t.Fatalf("constraints: %v %v", violations, err)
 	}

@@ -6,6 +6,7 @@ package kdb_test
 // durable and in-memory storage.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -67,7 +68,7 @@ func TestLargeKBEndToEnd(t *testing.T) {
 	if v := k.Validate(); len(v) != 0 {
 		t.Fatalf("discipline: %v", v)
 	}
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil || len(violations) != 0 {
 		t.Fatalf("constraints: %v %v", violations, err)
 	}
@@ -96,7 +97,7 @@ func TestLargeKBEndToEnd(t *testing.T) {
 		`compare (describe honor(X)) with (describe deans_list(X)).`,
 	}
 	for _, q := range queries {
-		res, err := k.ExecString(q)
+		res, err := k.ExecStringContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -106,7 +107,7 @@ func TestLargeKBEndToEnd(t *testing.T) {
 	}
 
 	// Spot-check the semantics of the layered describe.
-	res, err := k.ExecString(`describe senior_award(X) where honor(X).`)
+	res, err := k.ExecStringContext(context.Background(), `describe senior_award(X) where honor(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestLargeKBDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := k.FactCount()
-	if err := k.Checkpoint(); err != nil {
+	if err := k.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// More inserts after the checkpoint land in the WAL.
@@ -171,7 +172,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		for _, q := range queries {
 			go func(q string) {
-				_, err := k.ExecString(q)
+				_, err := k.ExecStringContext(context.Background(), q)
 				done <- err
 			}(q)
 		}

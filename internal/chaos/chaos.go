@@ -23,6 +23,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -358,7 +359,7 @@ func (tn *tenant) explain(rng *rand.Rand) error {
 	key := reach[rng.Intn(len(reach))]
 	var x, y string
 	fmt.Sscanf(key, "%1s,%1s", &x, &y)
-	res, err := tn.k.ExecString(fmt.Sprintf("explain path(%s, %s).", x, y))
+	res, err := tn.k.ExecStringContext(context.Background(), fmt.Sprintf("explain path(%s, %s).", x, y))
 	if _, cerr := classify(tn.name+": explain", err); cerr != nil {
 		return cerr
 	}
@@ -373,7 +374,7 @@ func (tn *tenant) explain(rng *rand.Rand) error {
 
 // queryPairs runs a retrieve and returns the answers as a factSet.
 func (tn *tenant) queryPairs(stmt string) (factSet, error) {
-	res, err := tn.k.ExecString(stmt)
+	res, err := tn.k.ExecStringContext(context.Background(), stmt)
 	if _, cerr := classify(tn.name+": query", err); cerr != nil {
 		return nil, cerr
 	}
@@ -431,7 +432,7 @@ func (tn *tenant) armFault(rng *rand.Rand) error {
 // retract never reached the log and re-killing durably-tombstoned
 // facts that lived only in RAM.
 func (tn *tenant) checkpoint() error {
-	err := tn.k.Checkpoint()
+	err := tn.k.CheckpointContext(context.Background())
 	tn.trace("%s checkpoint err=%v", tn.name, err)
 	durability, cerr := classify(tn.name+": checkpoint", err)
 	if cerr != nil {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"kdb/internal/governor"
 	"kdb/internal/parser"
 	"kdb/internal/term"
 )
@@ -47,7 +49,7 @@ func describe(t testing.TB, d *Describer, q string) *Answers {
 	if !ok {
 		t.Fatalf("not a describe: %T", pq)
 	}
-	ans, err := d.Describe(dq.Subject, dq.Where)
+	ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 	if err != nil {
 		t.Fatalf("describe %q: %v", q, err)
 	}
@@ -254,13 +256,13 @@ func TestDescribeGroundSubject(t *testing.T) {
 
 func TestDescribeSubjectMustBeIDB(t *testing.T) {
 	d := newDescriber(t, universityIDB, Options{})
-	if _, err := d.Describe(term.NewAtom("student", term.Var("X"), term.Var("Y"), term.Var("Z")), nil); err == nil {
+	if _, err := d.DescribeContext(context.Background(), term.NewAtom("student", term.Var("X"), term.Var("Y"), term.Var("Z")), nil, governor.Limits{}); err == nil {
 		t.Error("EDB subject must be rejected")
 	}
-	if _, err := d.Describe(term.NewAtom(">", term.Var("X"), term.Num(1)), nil); err == nil {
+	if _, err := d.DescribeContext(context.Background(), term.NewAtom(">", term.Var("X"), term.Num(1)), nil, governor.Limits{}); err == nil {
 		t.Error("comparison subject must be rejected")
 	}
-	if _, err := d.Describe(term.NewAtom("ghost", term.Var("X")), nil); err == nil {
+	if _, err := d.DescribeContext(context.Background(), term.NewAtom("ghost", term.Var("X")), nil, governor.Limits{}); err == nil {
 		t.Error("unknown subject must be rejected")
 	}
 }
@@ -379,7 +381,7 @@ func BenchmarkDescribeNonRecursive(b *testing.B) {
 	dq := pq.(*parser.Describe)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Describe(dq.Subject, dq.Where); err != nil {
+		if _, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -391,7 +393,7 @@ func BenchmarkDescribeRecursive(b *testing.B) {
 	dq := pq.(*parser.Describe)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Describe(dq.Subject, dq.Where); err != nil {
+		if _, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"kdb/internal/term"
 )
 
-// DescribeOr evaluates a describe query with a disjunctive hypothesis
+// DescribeOrContext evaluates a describe query with a disjunctive hypothesis
 // ψ1 ∨ … ∨ ψn — the first of the research directions Section 6 lists
 // ("we are interested in generalizing this formula to allow
 // disjunctions"). A formula `p ← φ` is an answer exactly when it is a
@@ -20,13 +20,7 @@ import (
 // (⊥ ∨ ψ ≡ ψ); if every disjunct contradicts, the special contradiction
 // answer is returned.
 //
-//kdb:entrypoint
-func (d *Describer) DescribeOr(subject term.Atom, disjuncts []term.Formula) (*Answers, error) {
-	return d.DescribeOrContext(context.Background(), subject, disjuncts, governor.Limits{})
-}
-
-// DescribeOrContext is DescribeOr under a query governor: one governor
-// (context, deadline) spans all disjunct searches, while
+// One query governor (context, deadline) spans all disjunct searches, while
 // limits.MaxDescribeNodes bounds the steps of each disjunct's search
 // individually.
 func (d *Describer) DescribeOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula, limits governor.Limits) (ans *Answers, err error) {

@@ -12,17 +12,10 @@ import (
 // This file implements the four describe-statement extensions sketched in
 // Section 6 of the paper.
 
-// DescribeNecessary is extension 1: `describe p where necessary ψ` keeps
-// only the answers in which every hypothesis conjunct proved necessary —
-// ordinary conjuncts by identification, comparisons by eliminating a body
-// comparison.
-//
-//kdb:entrypoint
-func (d *Describer) DescribeNecessary(subject term.Atom, hypothesis term.Formula) (*Answers, error) {
-	return d.DescribeNecessaryContext(context.Background(), subject, hypothesis, governor.Limits{})
-}
-
-// DescribeNecessaryContext is DescribeNecessary under a query governor
+// DescribeNecessaryContext is extension 1: `describe p where necessary
+// ψ` keeps only the answers in which every hypothesis conjunct proved
+// necessary — ordinary conjuncts by identification, comparisons by
+// eliminating a body comparison. The search runs under a query governor
 // (see DescribeContext).
 func (d *Describer) DescribeNecessaryContext(ctx context.Context, subject term.Atom, hypothesis term.Formula, limits governor.Limits) (*Answers, error) {
 	ans, err := d.DescribeContext(ctx, subject, hypothesis, limits)
@@ -177,7 +170,8 @@ type WildcardEntry struct {
 // subjects derivable from the qualifier. Every IDB predicate is
 // described under ψ; entries whose answers actually use the hypothesis
 // are returned, most specific first (fewest residual conjuncts).
-func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, error) {
+func (d *Describer) DescribeWildcard(hypothesis term.Formula) (out []WildcardEntry, err error) {
+	defer governor.Recover(&err)
 	if len(hypothesis) == 0 {
 		return nil, fmt.Errorf("core: describe * needs a hypothesis")
 	}
@@ -197,7 +191,6 @@ func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, 
 		}
 	}
 	sort.Strings(preds)
-	var out []WildcardEntry
 	for _, pred := range preds {
 		if inHyp[pred] {
 			continue
@@ -207,7 +200,7 @@ func (d *Describer) DescribeWildcard(hypothesis term.Formula) ([]WildcardEntry, 
 			args[i] = term.Var(fmt.Sprintf("W%d", i+1))
 		}
 		subject := term.NewAtom(pred, args...)
-		ans, err := d.Describe(subject, hypothesis)
+		ans, err := d.describe(nil, nil, subject, hypothesis) // ungoverned
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"kdb/internal/eval"
+	"kdb/internal/governor"
 	"kdb/internal/parser"
 	"kdb/internal/storage"
 	"kdb/internal/term"
@@ -206,7 +207,7 @@ func TestQuickDescribeSoundOnUniversity(t *testing.T) {
 		// Use the step-free rendering but check against the ORIGINAL rule
 		// set: the modified transformation's claim is precisely that the
 		// rewritten atom is equivalent.
-		ans, err := d.Describe(dq.Subject, dq.Where)
+		ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +260,7 @@ connected(X, Y) :- flight(X, Z), connected(Z, Y).
 				return false
 			}
 			dq := pq.(*parser.Describe)
-			ans, err := d.Describe(dq.Subject, dq.Where)
+			ans, err := d.DescribeContext(context.Background(), dq.Subject, dq.Where, governor.Limits{})
 			if err != nil {
 				return false
 			}

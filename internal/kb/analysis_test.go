@@ -1,12 +1,12 @@
 package kb
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
 	"kdb/internal/analysis"
-	"kdb/internal/term"
 )
 
 func TestLoadRejectsUnsafeProgram(t *testing.T) {
@@ -79,26 +79,26 @@ linked(X) :- conn(X, Y).
 `); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	ans, err := k.Describe(term.NewAtom("reach", term.Var("X"), term.Var("Y")), nil)
+	res, err := k.ExecStringContext(context.Background(), `describe reach(X, Y).`)
 	if err != nil {
 		t.Fatalf("describe: %v", err)
 	}
 	var noted bool
-	for _, n := range ans.Notes {
+	for _, n := range res.Describe.Notes {
 		if strings.Contains(n, "not typed") {
 			noted = true
 		}
 	}
 	if !noted {
-		t.Errorf("describe answer carries no bounded-mode note: %v", ans.Notes)
+		t.Errorf("describe answer carries no bounded-mode note: %v", res.Describe.Notes)
 	}
 	// A subject outside the undisciplined component gets no note.
-	ans, err = k.Describe(term.NewAtom("linked", term.Var("X")), nil)
+	res, err = k.ExecStringContext(context.Background(), `describe linked(X).`)
 	if err != nil {
 		t.Fatalf("describe linked: %v", err)
 	}
-	if len(ans.Notes) != 0 {
-		t.Errorf("linked does not depend on reach; notes: %v", ans.Notes)
+	if len(res.Describe.Notes) != 0 {
+		t.Errorf("linked does not depend on reach; notes: %v", res.Describe.Notes)
 	}
 }
 
@@ -111,7 +111,7 @@ p(X) :- p(X), q(Y).
 `); err != nil {
 		t.Fatalf("load (warnings must not reject): %v", err)
 	}
-	_, err := k.Describe(term.NewAtom("p", term.Var("X")), nil)
+	_, err := k.ExecStringContext(context.Background(), `describe p(X).`)
 	if err == nil {
 		t.Fatal("describe on a degenerate recursive subject must fail")
 	}

@@ -9,14 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"kdb/internal/parser"
 	"kdb/internal/term"
 )
 
 // TestConcurrentQueriesAssertsCheckpoints is the lock-discipline
-// stress test: readers (RetrieveContext, LastStats), writers (Assert),
-// and Checkpoint all run concurrently against a durable KB. On the
-// seed this raced — Checkpoint and Close bypassed k.mu, so a
+// stress test: readers (retrieve statements, LastStats), writers
+// (Assert), and checkpoints all run concurrently against a durable KB.
+// On the seed this raced — checkpoint and Close bypassed k.mu, so a
 // checkpoint could truncate the WAL under a running assert. Run with
 // -race.
 func TestConcurrentQueriesAssertsCheckpoints(t *testing.T) {
@@ -57,14 +56,13 @@ func TestConcurrentQueriesAssertsCheckpoints(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			subject, _ := parser.ParseAtom("q(X)")
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := k.RetrieveContext(ctx, subject, nil); err != nil {
+				if _, err := k.ExecStringContext(ctx, "retrieve q(X)."); err != nil {
 					fail("retrieve: %v", err)
 					return
 				}
@@ -81,7 +79,7 @@ func TestConcurrentQueriesAssertsCheckpoints(t *testing.T) {
 				return
 			default:
 			}
-			if err := k.Checkpoint(); err != nil {
+			if err := k.CheckpointContext(ctx); err != nil {
 				fail("checkpoint: %v", err)
 				return
 			}
@@ -113,7 +111,6 @@ func TestCloseUnderLoad(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	subject, _ := parser.ParseAtom("q(X)")
 	var wg sync.WaitGroup
 	var unexpected atomic.Int32
 	start := make(chan struct{})
@@ -126,11 +123,11 @@ func TestCloseUnderLoad(t *testing.T) {
 				var err error
 				switch w % 3 {
 				case 0:
-					_, err = k.RetrieveContext(ctx, subject, nil)
+					_, err = k.ExecStringContext(ctx, "retrieve q(X).")
 				case 1:
 					err = k.Assert(term.NewAtom("p", term.Sym(fmt.Sprintf("c%d_%d", w, i))))
 				case 2:
-					err = k.Checkpoint()
+					err = k.CheckpointContext(ctx)
 				}
 				if err != nil {
 					if !errors.Is(err, ErrClosed) {
@@ -154,13 +151,13 @@ func TestCloseUnderLoad(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 	// Every entry point reports the structured error now.
-	if _, err := k.RetrieveContext(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.ExecStringContext(ctx, "retrieve q(X)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("retrieve after close: %v", err)
 	}
 	if err := k.Assert(term.NewAtom("p", term.Sym("late"))); !errors.Is(err, ErrClosed) {
 		t.Errorf("assert after close: %v", err)
 	}
-	if err := k.Checkpoint(); !errors.Is(err, ErrClosed) {
+	if err := k.CheckpointContext(ctx); !errors.Is(err, ErrClosed) {
 		t.Errorf("checkpoint after close: %v", err)
 	}
 	if _, err := k.Retract(term.NewAtom("p", term.Sym("a"))); !errors.Is(err, ErrClosed) {
@@ -169,13 +166,13 @@ func TestCloseUnderLoad(t *testing.T) {
 	if err := k.LoadString("r(z)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("load after close: %v", err)
 	}
-	if _, err := k.ExplainContext(ctx, subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.ExecStringContext(ctx, "explain q(X)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("explain after close: %v", err)
 	}
-	if _, err := k.Describe(subject, nil); !errors.Is(err, ErrClosed) {
+	if _, err := k.ExecStringContext(ctx, "describe q(X)."); !errors.Is(err, ErrClosed) {
 		t.Errorf("describe after close: %v", err)
 	}
-	if _, err := k.CheckConstraints(); !errors.Is(err, ErrClosed) {
+	if _, err := k.CheckConstraintsContext(ctx); !errors.Is(err, ErrClosed) {
 		t.Errorf("check after close: %v", err)
 	}
 }
@@ -206,12 +203,11 @@ func TestRetractDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer k2.Close()
-	subject, _ := parser.ParseAtom("p(X)")
-	res, err := k2.Retrieve(subject, nil)
+	res, err := k2.ExecStringContext(context.Background(), "retrieve p(X).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Atoms(subject); len(got) != 1 || got[0].String() != "p(b)" {
+	if got := res.String(); got != "p(b)" {
 		t.Errorf("after reopen: %v, want only p(b)", got)
 	}
 }

@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ suspended(bob).
 	if got := len(k.Constraints()); got != 1 {
 		t.Fatalf("Constraints = %d", got)
 	}
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ suspended(bob).
 enroll(ann, databases).
 :- enroll(X, C), suspended(X).
 `)
-	violations, err = k2.CheckConstraints()
+	violations, err = k2.CheckConstraintsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ honor(X) :- student(X, M, G), G > 3.7.
 failing(X) :- complete(X, C, S, G), G < 2.
 :- honor(X), failing(X).
 `)
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ foreign(X) :- student2(X, G, N), N != usa.
 @key student2/3 1.
 `
 	kAllowed := loadKB(t, src)
-	res, err := kAllowed.ExecString(`describe where honor(X) and foreign(X).`)
+	res, err := kAllowed.ExecStringContext(context.Background(), `describe where honor(X) and foreign(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ foreign(X) :- student2(X, G, N), N != usa.
 	kForbidden := loadKB(t, src+`
 :- honor(X), foreign(X).
 `)
-	res, err = kForbidden.ExecString(`describe where honor(X) and foreign(X).`)
+	res, err = kForbidden.ExecStringContext(context.Background(), `describe where honor(X) and foreign(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,14 @@ func TestPossibleConstraintWithComparisons(t *testing.T) {
 takes(X, U) :- enrollment(X, U).
 :- enrollment(X, U), U > 20.
 `)
-	res, err := k.ExecString(`describe where takes(X, U) and U > 25.`)
+	res, err := k.ExecStringContext(context.Background(), `describe where takes(X, U) and U > 25.`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(res.String(), "false") {
 		t.Errorf("25 units contradicts the 20-unit constraint: %q", res)
 	}
-	res, err = k.ExecString(`describe where takes(X, U) and U > 15.`)
+	res, err = k.ExecStringContext(context.Background(), `describe where takes(X, U) and U > 15.`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ eligible(X) :- honor(X).
 eligible(X) :- staff(X).
 :- staff(X).
 `)
-	res, err := k.ExecString(`describe eligible(X) where not honor(X).`)
+	res, err := k.ExecStringContext(context.Background(), `describe eligible(X) where not honor(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ p(a).
 q(a).
 :- p(X), q(X).
 `)
-	violations, err := k.CheckConstraints()
+	violations, err := k.CheckConstraintsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

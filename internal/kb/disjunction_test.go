@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestOrParserRestrictions(t *testing.T) {
 		`describe where p(X) or q(X).`,
 		`retrieve honor(X) where not p(X) or q(X).`,
 	} {
-		if _, err := k.ExecString(q); err == nil {
+		if _, err := k.ExecStringContext(context.Background(), q); err == nil {
 			t.Errorf("%q must be rejected", q)
 		}
 	}
@@ -144,7 +145,7 @@ func TestOrRoundTrip(t *testing.T) {
 func TestIntensionalAnswers(t *testing.T) {
 	k := loadKB(t, universityKB)
 	k.SetIntensional(true)
-	res, err := k.ExecString(`retrieve honor(X) where enroll(X, databases).`)
+	res, err := k.ExecStringContext(context.Background(), `retrieve honor(X) where enroll(X, databases).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestIntensionalAnswers(t *testing.T) {
 		t.Errorf("knowledge missing: %q", got)
 	}
 	// EDB subjects have no intensional part, and the query still works.
-	res, err = k.ExecString(`retrieve student(X, math, G).`)
+	res, err = k.ExecStringContext(context.Background(), `retrieve student(X, math, G).`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestIntensionalAnswers(t *testing.T) {
 	}
 	// Switching off restores plain answers.
 	k.SetIntensional(false)
-	res, err = k.ExecString(`retrieve honor(X).`)
+	res, err = k.ExecStringContext(context.Background(), `retrieve honor(X).`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ rules:
 		for _, tc := range cases {
 			for stmt, engine := range map[string]string{tc.stmt: "topdown", tc.free: "seminaive"} {
 				k := loadParallelKB(t, universityProgram, parallel)
-				res, err := k.ExecString(stmt)
+				res, err := k.ExecStringContext(context.Background(), stmt)
 				if err != nil {
 					t.Fatalf("p%d %s: %v", parallel, stmt, err)
 				}
@@ -155,10 +156,11 @@ func TestExplainRecursiveSound(t *testing.T) {
 		}
 		for _, parallel := range []int{1, 4} {
 			k := loadParallelKB(t, routesProgram, parallel)
-			exp, err := k.Explain(subject, where)
+			res, err := k.ExecContext(context.Background(), &parser.Explain{Subject: subject, Where: where})
 			if err != nil {
 				t.Fatalf("%s/p%d: %v", engine, parallel, err)
 			}
+			exp := res.Explanation
 			checkRanOn(t, k, engine)
 			// Every airport is reachable from la (the graph is one cycle
 			// plus the dal chord).
@@ -207,7 +209,7 @@ func TestExplainProvenanceLimit(t *testing.T) {
 	} {
 		k := loadParallelKB(t, routesProgram, 1)
 		k.SetQueryLimits(governor.Limits{MaxProvenanceEntries: 3})
-		_, err := k.ExecString(stmt)
+		_, err := k.ExecStringContext(context.Background(), stmt)
 		checkRanOn(t, k, engine)
 		if err == nil {
 			t.Fatalf("%s: no error with MaxProvenanceEntries=3", engine)
@@ -247,7 +249,7 @@ func TestExplainStatement(t *testing.T) {
 	}
 	// The where qualifier restricts which answers get explained.
 	k := loadParallelKB(t, routesProgram, 1)
-	res, err := k.ExecString("explain reachable(la, X) where flight(X, la).")
+	res, err := k.ExecStringContext(context.Background(), "explain reachable(la, X) where flight(X, la).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ func TestExplainStatement(t *testing.T) {
 // TestExplainEmptyAnswer pins the no-derivation rendering.
 func TestExplainEmptyAnswer(t *testing.T) {
 	k := loadParallelKB(t, routesProgram, 1)
-	res, err := k.ExecString("explain reachable(la, mars).")
+	res, err := k.ExecStringContext(context.Background(), "explain reachable(la, mars).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ sponsor(bob, ann).
 `); err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.ExecString("explain vip(bob).")
+	res, err := k.ExecStringContext(context.Background(), "explain vip(bob).")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestKBQueryLimitsOption(t *testing.T) {
 	if err := k.LoadString(sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := k.ExecString(`retrieve reach(X, Y).`)
+	_, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`)
 	var le *governor.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -75,7 +75,7 @@ func TestKBQueryLimitsOption(t *testing.T) {
 	}
 	// Raising the limits at runtime lets the same query finish.
 	k.SetQueryLimits(governor.Limits{})
-	if _, err := k.ExecString(`retrieve reach(n0, Y).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve reach(n0, Y).`); err != nil {
 		t.Fatalf("after clearing limits: %v", err)
 	}
 }
@@ -83,7 +83,7 @@ func TestKBQueryLimitsOption(t *testing.T) {
 func TestKBDescribeNodeLimit(t *testing.T) {
 	k := loadKB(t, universityKB)
 	k.SetQueryLimits(governor.Limits{MaxDescribeNodes: 1})
-	_, err := k.ExecString(`describe can_ta(X, databases).`)
+	_, err := k.ExecStringContext(context.Background(), `describe can_ta(X, databases).`)
 	var le *governor.LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LimitError", err)
@@ -92,7 +92,7 @@ func TestKBDescribeNodeLimit(t *testing.T) {
 		t.Errorf("kind = %q, want %q", le.Kind, governor.LimitDescribeNodes)
 	}
 	k.SetQueryLimits(governor.Limits{})
-	if _, err := k.ExecString(`describe can_ta(X, databases).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `describe can_ta(X, databases).`); err != nil {
 		t.Fatalf("after clearing limits: %v", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestKBPanicSurfacesAsError(t *testing.T) {
 	k := cycleKB(t, 5)
 	eval.DeriveHook = func(term.Atom) { panic("injected kb panic") }
 	defer func() { eval.DeriveHook = nil }()
-	_, err := k.ExecString(`retrieve reach(X, Y).`)
+	_, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`)
 	var pe *governor.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)

@@ -183,13 +183,6 @@ func (k *KB) Close() error {
 	return k.store.Close()
 }
 
-// Checkpoint folds the write-ahead log into a snapshot (durable KBs).
-//
-//kdb:entrypoint
-func (k *KB) Checkpoint() error {
-	return k.CheckpointContext(context.Background())
-}
-
 // CheckpointContext folds the write-ahead log into a snapshot (durable
 // KBs), honoring cancellation up to the point of no return: once the
 // snapshot write begins the operation runs to completion, since an
@@ -212,7 +205,7 @@ func (k *KB) CheckpointContext(ctx context.Context) error {
 // DurabilityErr returns the sticky error poisoning the store's
 // write-ahead log, or nil while it is healthy (always nil for
 // in-memory KBs). A poisoned log rejects every durable write until a
-// successful Checkpoint resets it; health probes surface it per
+// successful CheckpointContext resets it; health probes surface it per
 // tenant.
 func (k *KB) DurabilityErr() error {
 	k.mu.RLock()
@@ -647,19 +640,12 @@ func (k *KB) Constraints() []term.Formula {
 	return out
 }
 
-// CheckConstraints evaluates every integrity constraint against the
-// current database and returns one message per violating instance
-// (capped per constraint). An empty result means the data satisfies all
+// CheckConstraintsContext evaluates every integrity constraint against
+// the current database, under the context and the effective query
+// limits (configured limits, clamped per-request via ContextWithLimits),
+// and returns one message per violating instance (capped per
+// constraint). An empty result means the data satisfies all
 // constraints.
-//
-//kdb:entrypoint
-func (k *KB) CheckConstraints() ([]string, error) {
-	return k.CheckConstraintsContext(context.Background())
-}
-
-// CheckConstraintsContext is CheckConstraints under the context and the
-// effective query limits (configured limits, clamped per-request via
-// ContextWithLimits).
 func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 	k.mu.RLock()
 	if k.closed {
@@ -730,196 +716,6 @@ func (k *KB) newEngine(ctx context.Context, extra ...eval.EngineOption) eval.Eng
 	return eval.New(in, opts...)
 }
 
-// Retrieve evaluates a data query (§3.1). The configured query limits
-// (WithQueryLimits) apply; use RetrieveContext to also support
-// cancellation.
-//
-//kdb:entrypoint
-func (k *KB) Retrieve(subject term.Atom, where term.Formula) (*eval.Result, error) {
-	return k.RetrieveContext(context.Background(), subject, where)
-}
-
-// RetrieveContext evaluates a data query under the context and the
-// configured query limits. A governed stop — cancellation, deadline
-// expiry, a breached limit, or a contained panic — returns a structured
-// error (*eval.StopError wrapping governor.ErrCanceled,
-// *governor.LimitError, or *governor.PanicError); the statistics
-// snapshot at stop time is still recorded (LastStats) with its
-// StopReason set.
-func (k *KB) RetrieveContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if k.closed {
-		return nil, ErrClosed
-	}
-	engine := k.newEngine(ctx)
-	res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: where})
-	k.recordStats(engine)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RetrieveOr evaluates a data query with a disjunctive qualifier
-// (§6's second research direction): the answer is the union of the
-// per-disjunct answers.
-//
-//kdb:entrypoint
-func (k *KB) RetrieveOr(subject term.Atom, disjuncts []term.Formula) (*eval.Result, error) {
-	return k.RetrieveOrContext(context.Background(), subject, disjuncts)
-}
-
-// RetrieveOrContext is RetrieveOr under the context and the configured
-// query limits (per-disjunct: each disjunct is one governed evaluation).
-func (k *KB) RetrieveOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula) (*eval.Result, error) {
-	if len(disjuncts) == 0 {
-		return k.RetrieveContext(ctx, subject, nil)
-	}
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if k.closed {
-		return nil, ErrClosed
-	}
-	engine := k.newEngine(ctx)
-	var merged *eval.Result
-	seen := make(map[string]bool)
-	for _, d := range disjuncts {
-		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: d})
-		if err != nil {
-			k.recordStats(engine)
-			return nil, err
-		}
-		if merged == nil {
-			merged = &eval.Result{Vars: res.Vars}
-		}
-		for _, t := range res.Tuples {
-			key := storage.Tuple(t).Key()
-			if !seen[key] {
-				seen[key] = true
-				merged.Tuples = append(merged.Tuples, t)
-			}
-		}
-	}
-	k.recordStats(engine)
-	return merged, nil
-}
-
-// Profile evaluates a data query like Retrieve while recording per-rule
-// cost rows: wall time, rounds, tuples produced, and the storage probe
-// counters split index-hit/full-scan. See ProfileContext.
-//
-//kdb:entrypoint
-func (k *KB) Profile(subject term.Atom, where term.Formula) (*eval.Result, *profile.Profile, error) {
-	return k.ProfileContext(context.Background(), subject, where)
-}
-
-// ProfileContext runs a governed retrieve of subject/where with
-// profiling on and returns the answers together with the per-rule cost
-// profile — the runtime "explain analyze" of one evaluation. On a
-// governed stop the partial profile is returned alongside the error, so
-// a query killed by a limit still shows where the time went.
-func (k *KB) ProfileContext(ctx context.Context, subject term.Atom, where term.Formula) (*eval.Result, *profile.Profile, error) {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	if k.closed {
-		return nil, nil, ErrClosed
-	}
-	p := profile.New()
-	if h := profileHolderFromContext(ctx); h != nil {
-		h.p.Store(p)
-	}
-	engine := k.newEngine(ctx, eval.WithProfile(p))
-	res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: where})
-	k.recordStats(engine)
-	if err != nil {
-		return nil, p, err
-	}
-	return res, p, nil
-}
-
-// maxExplainNodes bounds the reconstructed derivation tree of one
-// explain statement: generous enough for real programs, small enough
-// that a pathological witness graph cannot exhaust memory while
-// rendering.
-const maxExplainNodes = 10000
-
-// Explain evaluates the subject like Retrieve while recording one
-// why-provenance witness per derived fact, then reconstructs the
-// derivation tree of every answer. See ExplainContext.
-//
-//kdb:entrypoint
-func (k *KB) Explain(subject term.Atom, where term.Formula) (*prov.Explanation, error) {
-	return k.ExplainContext(context.Background(), subject, where)
-}
-
-// ExplainContext runs a governed retrieve of subject/where with
-// why-provenance recording on (the configured MaxProvenanceEntries
-// limit applies), then rebuilds the derivation trees of the answers.
-// Trees are cycle-safe for recursive predicates; leaves distinguish
-// stored facts (edb) from comparisons (builtin). The same recording
-// works on every engine, so an explain is a cross-checkable artifact:
-// every engine must justify a fact by some valid tree.
-func (k *KB) ExplainContext(ctx context.Context, subject term.Atom, where term.Formula) (*prov.Explanation, error) {
-	k.mu.RLock()
-	if k.closed {
-		k.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	rec := prov.NewRecorder()
-	engine := k.newEngine(ctx, eval.WithProvenance(rec))
-	res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: where})
-	k.recordStats(engine)
-	if err != nil {
-		k.mu.RUnlock()
-		return nil, err
-	}
-	store := k.store
-	k.mu.RUnlock()
-
-	esp := obs.SpanFromContext(ctx).Child("explain")
-	isStored := func(a term.Atom) bool { return store.Contains(a) }
-	exp := rec.Explain(subject, res.Atoms(subject), isStored, maxExplainNodes)
-	esp.SetInt("trees", int64(len(exp.Trees)))
-	esp.SetInt("nodes", int64(exp.Nodes))
-	esp.End()
-	k.qmetrics.Load().ObserveExplain(int64(exp.Nodes))
-	return exp, nil
-}
-
-// DescribeOr evaluates a knowledge query with a disjunctive hypothesis:
-// the answers that hold under every disjunct.
-//
-//kdb:entrypoint
-func (k *KB) DescribeOr(subject term.Atom, disjuncts []term.Formula) (*core.Answers, error) {
-	return k.DescribeOrContext(context.Background(), subject, disjuncts)
-}
-
-// DescribeOrContext is DescribeOr under the context and the configured
-// query limits.
-func (k *KB) DescribeOrContext(ctx context.Context, subject term.Atom, disjuncts []term.Formula) (*core.Answers, error) {
-	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
-	ans, err := d.DescribeOrContext(ctx, subject, disjuncts, k.effectiveLimits(ctx))
-	if err != nil {
-		return nil, err
-	}
-	k.observeDescribe(ans.Nodes)
-	k.applyDisplayNames(ans)
-	k.attachNotes(subject, ans)
-	return ans, nil
-}
-
-func (k *KB) showProvenance() bool {
-	k.mu.RLock()
-	defer k.mu.RUnlock()
-	return k.provenance
-}
-
 // SetProvenance switches provenance display on or off (off by default):
 // when on, rendered describe answers list the rules each derivation
 // applied.
@@ -930,7 +726,11 @@ func (k *KB) SetProvenance(on bool) {
 }
 
 // Provenance reports whether provenance display is on.
-func (k *KB) Provenance() bool { return k.showProvenance() }
+func (k *KB) Provenance() bool {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	return k.provenance
+}
 
 // SetProfiling switches always-on profiling on or off (off by default):
 // when on, every retrieve statement records per-rule cost rows and its
@@ -958,8 +758,8 @@ func (k *KB) Intensional() bool {
 }
 
 // SetIntensional switches intensional answering for data queries on or
-// off (off by default). When on, Exec answers a retrieve with both the
-// extension AND the knowledge characterizing it — the combined
+// off (off by default). When on, ExecContext answers a retrieve with
+// both the extension AND the knowledge characterizing it — the combined
 // data+knowledge responses of the intensional-answer literature the
 // paper's introduction surveys (mechanism 2 of its three).
 func (k *KB) SetIntensional(on bool) {
@@ -1075,99 +875,6 @@ func (k *KB) getDescriber() (*core.Describer, error) {
 	return d, nil
 }
 
-// Describe evaluates a knowledge query (§3.2). Artificial step-predicate
-// names in answers are replaced by their @name display names. The
-// configured query limits apply; use DescribeContext to also support
-// cancellation.
-//
-//kdb:entrypoint
-func (k *KB) Describe(subject term.Atom, where term.Formula) (*core.Answers, error) {
-	return k.DescribeContext(context.Background(), subject, where)
-}
-
-// DescribeContext evaluates a knowledge query under the context and the
-// configured query limits: the describe search checks cancellation
-// cooperatively, and MaxDescribeNodes bounds its steps as a hard error
-// (unlike the describe engine's own MaxNodes option, which truncates).
-func (k *KB) DescribeContext(ctx context.Context, subject term.Atom, where term.Formula) (*core.Answers, error) {
-	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
-	ans, err := d.DescribeContext(ctx, subject, where, k.effectiveLimits(ctx))
-	if err != nil {
-		return nil, err
-	}
-	k.observeDescribe(ans.Nodes)
-	k.applyDisplayNames(ans)
-	k.attachNotes(subject, ans)
-	return ans, nil
-}
-
-// DescribeNecessary evaluates `describe … where necessary ψ` (§6 ext. 1).
-//
-//kdb:entrypoint
-func (k *KB) DescribeNecessary(subject term.Atom, where term.Formula) (*core.Answers, error) {
-	return k.DescribeNecessaryContext(context.Background(), subject, where)
-}
-
-// DescribeNecessaryContext is DescribeNecessary under the context and
-// the configured query limits.
-func (k *KB) DescribeNecessaryContext(ctx context.Context, subject term.Atom, where term.Formula) (*core.Answers, error) {
-	asp := obs.SpanFromContext(ctx).Child("analyze")
-	d, err := k.getDescriberFor(subject)
-	asp.End()
-	if err != nil {
-		return nil, err
-	}
-	ans, err := d.DescribeNecessaryContext(ctx, subject, where, k.effectiveLimits(ctx))
-	if err != nil {
-		return nil, err
-	}
-	k.observeDescribe(ans.Nodes)
-	k.applyDisplayNames(ans)
-	k.attachNotes(subject, ans)
-	return ans, nil
-}
-
-// DescribeNot evaluates `describe … where not h …` (§6 ext. 2).
-func (k *KB) DescribeNot(subject term.Atom, banned, positive term.Formula) (*core.Necessity, error) {
-	d, err := k.getDescriberFor(subject)
-	if err != nil {
-		return nil, err
-	}
-	return d.DescribeNot(subject, banned, positive)
-}
-
-// Possible evaluates the subjectless describe (§6 ext. 3).
-func (k *KB) Possible(where term.Formula) (*core.Possibility, error) {
-	d, err := k.getDescriber()
-	if err != nil {
-		return nil, err
-	}
-	return d.Possible(where)
-}
-
-// DescribeWildcard evaluates `describe * where ψ` (§6 ext. 4).
-func (k *KB) DescribeWildcard(where term.Formula) ([]core.WildcardEntry, error) {
-	d, err := k.getDescriber()
-	if err != nil {
-		return nil, err
-	}
-	return d.DescribeWildcard(where)
-}
-
-// Compare evaluates the §6 compare statement.
-func (k *KB) Compare(left term.Atom, leftHyp term.Formula, right term.Atom, rightHyp term.Formula) (*core.ConceptComparison, error) {
-	d, err := k.getDescriber()
-	if err != nil {
-		return nil, err
-	}
-	return d.Compare(left, leftHyp, right, rightHyp)
-}
-
 // applyDisplayNames rewrites predicate names in answers to their @name
 // display names (meaningful names for artificial predicates, §5.3).
 func (k *KB) applyDisplayNames(ans *core.Answers) {
@@ -1181,174 +888,263 @@ func (k *KB) applyDisplayNames(ans *core.Answers) {
 	}
 }
 
-// Exec parses and runs any query statement, returning a displayable
+// maxExplainNodes bounds the reconstructed derivation tree of one
+// explain statement: generous enough for real programs, small enough
+// that a pathological witness graph cannot exhaust memory while
+// rendering.
+const maxExplainNodes = 10000
+
+// ExecContext runs any parsed query statement under the context and the
+// configured query limits (WithQueryLimits), returning a displayable
 // result. It is the single coherent instrument the paper argues for: the
 // caller does not need to know whether the question addresses data or
-// knowledge.
-//
-//kdb:entrypoint
-func (k *KB) Exec(q parser.Query) (*ExecResult, error) {
-	return k.ExecContext(context.Background(), q)
-}
-
-// ExecContext is Exec under the context and the configured query limits
-// (WithQueryLimits): retrieve and describe evaluations check the
+// knowledge. Retrieve-style and governed describe evaluations check the
 // context cooperatively, so a deadline or a Ctrl-C-driven cancel stops
-// an in-flight query with a structured error. The remaining statement
-// forms (describe not, possible, wildcard, compare) run their bounded
-// unfolding un-governed.
+// an in-flight query with a structured error (*eval.StopError wrapping
+// governor.ErrCanceled, *governor.LimitError, or *governor.PanicError);
+// the statistics snapshot at stop time is still recorded (LastStats)
+// with its StopReason set. The remaining statement forms (describe not,
+// possible, wildcard, compare) run their bounded unfolding un-governed.
 func (k *KB) ExecContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
-	ctx, finish := k.beginQuery(ctx)
-	ctx, done := k.beginActivity(ctx, queryKind(q), q.String())
-	res, err := k.execContext(ctx, q)
-	if done != nil {
-		done()
-	}
-	if finish != nil {
-		finish(queryKind(q), q.String(), err)
-	}
-	return res, err
-}
-
-func (k *KB) execContext(ctx context.Context, q parser.Query) (*ExecResult, error) {
-	switch s := q.(type) {
-	case *parser.Retrieve:
-		var res *eval.Result
-		var prof *profile.Profile
-		var err error
-		if len(s.Or) > 0 {
-			res, err = k.RetrieveOrContext(ctx, s.Subject, s.Disjuncts())
-		} else if k.Profiling() {
-			res, prof, err = k.ProfileContext(ctx, s.Subject, s.Where)
-		} else {
-			res, err = k.RetrieveContext(ctx, s.Subject, s.Where)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}
-		k.mu.RLock()
-		intensional := k.intensional
-		k.mu.RUnlock()
-		if intensional {
-			// Intensional answering: attach the knowledge characterizing
-			// the extension, when the subject is an IDB concept.
-			if ans, derr := k.DescribeOrContext(ctx, s.Subject, s.Disjuncts()); derr == nil {
-				out.Knowledge = ans
-			}
-		}
-		return out, nil
-	case *parser.Describe:
-		// A describe of a virtual relation answers from its fixed
-		// definition: the schema is code, not loaded knowledge, so the
-		// describe engine has nothing to unfold.
-		if !s.Wildcard && !s.Subjectless && sysrel.IsName(s.Subject.Pred) {
-			d := sysrel.Lookup(s.Subject.Pred)
-			if d == nil {
-				return nil, fmt.Errorf("kb: unknown system relation %s (the sys_ namespace is reserved)", s.Subject.Pred)
-			}
-			return &ExecResult{Query: q, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
-		}
-		switch {
-		case s.Wildcard:
-			if len(s.Not) > 0 {
-				return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
-			}
-			entries, err := k.DescribeWildcard(s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Wildcard: entries, wildcard: true}, nil
-		case s.Subjectless:
-			if len(s.Not) > 0 {
-				return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
-			}
-			p, err := k.Possible(s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Possibility: p}, nil
-		case len(s.Not) > 0:
-			n, err := k.DescribeNot(s.Subject, s.Not, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Necessity: n}, nil
-		case s.Necessary:
-			ans, err := k.DescribeNecessaryContext(ctx, s.Subject, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Describe: ans, provenance: k.showProvenance()}, nil
-		case len(s.Or) > 0:
-			ans, err := k.DescribeOrContext(ctx, s.Subject, s.Disjuncts())
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Describe: ans, provenance: k.showProvenance()}, nil
-		default:
-			ans, err := k.DescribeContext(ctx, s.Subject, s.Where)
-			if err != nil {
-				return nil, err
-			}
-			return &ExecResult{Query: q, Describe: ans, provenance: k.showProvenance()}, nil
-		}
-	case *parser.Explain:
-		exp, err := k.ExplainContext(ctx, s.Subject, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Explanation: exp}, nil
-	case *parser.Profile:
-		res, prof, err := k.ProfileContext(ctx, s.Subject, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}, nil
-	case *parser.Compare:
-		c, err := k.Compare(s.Left.Subject, s.Left.Where, s.Right.Subject, s.Right.Where)
-		if err != nil {
-			return nil, err
-		}
-		return &ExecResult{Query: q, Comparison: c}, nil
-	default:
-		return nil, fmt.Errorf("kb: unsupported query %T", q)
-	}
-}
-
-// ExecString parses and runs one query given as text.
-//
-//kdb:entrypoint
-func (k *KB) ExecString(src string) (*ExecResult, error) {
-	return k.ExecStringContext(context.Background(), src)
+	return k.run(ctx, q, "")
 }
 
 // ExecStringContext parses and runs one query given as text, under the
 // context and the configured query limits (see ExecContext).
 func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, error) {
+	return k.run(ctx, nil, src)
+}
+
+// run is the one path a query takes through the KB: it opens the
+// observability scope, parses src when q is nil, registers the query
+// as in flight, dispatches it, and closes the scope with the statement's
+// outcome and profile.
+func (k *KB) run(ctx context.Context, q parser.Query, src string) (*ExecResult, error) {
 	ctx, finish := k.beginQuery(ctx)
-	psp := obs.SpanFromContext(ctx).Child("parse")
-	q, err := parser.ParseQuery(src)
-	psp.End()
-	if err != nil {
-		if finish != nil {
-			finish("parse", strings.TrimSpace(src), err)
+	if q == nil {
+		psp := obs.SpanFromContext(ctx).Child("parse")
+		var err error
+		q, err = parser.ParseQuery(src)
+		psp.End()
+		if err != nil {
+			if finish != nil {
+				finish("parse", strings.TrimSpace(src), nil, err)
+			}
+			return nil, err
 		}
-		return nil, err
 	}
-	ctx, done := k.beginActivity(ctx, queryKind(q), q.String())
-	res, err := k.execContext(ctx, q)
+	kind, stmt := queryKind(q), q.String()
+	ctx, done := k.beginActivity(ctx, kind, stmt)
+	res, prof, err := k.dispatch(ctx, q)
 	if done != nil {
 		done()
 	}
 	if finish != nil {
-		finish(queryKind(q), q.String(), err)
+		finish(kind, stmt, prof, err)
 	}
 	return res, err
 }
 
-// ExecResult is the displayable outcome of Exec: exactly one of the
-// result fields is set, according to the query form.
+// dispatch evaluates one statement. Besides the result it returns the
+// per-rule profile the evaluation recorded, if any — on a governed stop
+// the partial one, so the query log shows where a killed query spent its
+// time.
+func (k *KB) dispatch(ctx context.Context, q parser.Query) (*ExecResult, *profile.Profile, error) {
+	switch s := q.(type) {
+	case *parser.Retrieve:
+		var prof *profile.Profile
+		var extra []eval.EngineOption
+		if k.Profiling() {
+			prof = profile.New()
+			extra = append(extra, eval.WithProfile(prof))
+		}
+		res, err := k.retrieve(ctx, s.Subject, s.Disjuncts(), extra...)
+		if err != nil {
+			return nil, prof, err
+		}
+		out := &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}
+		if k.Intensional() {
+			// Intensional answering: attach the knowledge characterizing
+			// the extension, when the subject is an IDB concept.
+			if ans, derr := k.describe(ctx, &parser.Describe{Subject: s.Subject, Where: s.Where, Or: s.Or}); derr == nil {
+				out.Knowledge = ans
+			}
+		}
+		return out, prof, nil
+	case *parser.Profile:
+		prof := profile.New()
+		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, eval.WithProfile(prof))
+		if err != nil {
+			return nil, prof, err
+		}
+		return &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}, prof, nil
+	case *parser.Explain:
+		// Why-provenance recording (the configured MaxProvenanceEntries
+		// limit applies) works on every engine, so an explain is a
+		// cross-checkable artifact: every engine must justify a fact by
+		// some valid tree. Trees are cycle-safe for recursive predicates;
+		// leaves distinguish stored facts from comparisons.
+		rec := prov.NewRecorder()
+		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, eval.WithProvenance(rec))
+		if err != nil {
+			return nil, nil, err
+		}
+		esp := obs.SpanFromContext(ctx).Child("explain")
+		exp := rec.Explain(s.Subject, res.Atoms(s.Subject), k.store.Contains, maxExplainNodes)
+		esp.SetInt("trees", int64(len(exp.Trees)))
+		esp.SetInt("nodes", int64(exp.Nodes))
+		esp.End()
+		k.qmetrics.Load().ObserveExplain(int64(exp.Nodes))
+		return &ExecResult{Query: q, Explanation: exp}, nil, nil
+	case *parser.Describe:
+		res, err := k.dispatchDescribe(ctx, s)
+		return res, nil, err
+	case *parser.Compare:
+		d, err := k.getDescriber()
+		if err != nil {
+			return nil, nil, err
+		}
+		c, err := d.Compare(s.Left.Subject, s.Left.Where, s.Right.Subject, s.Right.Where)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &ExecResult{Query: q, Comparison: c}, nil, nil
+	default:
+		return nil, nil, fmt.Errorf("kb: unsupported query %T", q)
+	}
+}
+
+// dispatchDescribe evaluates the describe forms of §3.2 and §6.
+func (k *KB) dispatchDescribe(ctx context.Context, s *parser.Describe) (*ExecResult, error) {
+	// A describe of a virtual relation answers from its fixed
+	// definition: the schema is code, not loaded knowledge, so the
+	// describe engine has nothing to unfold.
+	if !s.Wildcard && !s.Subjectless && sysrel.IsName(s.Subject.Pred) {
+		d := sysrel.Lookup(s.Subject.Pred)
+		if d == nil {
+			return nil, fmt.Errorf("kb: unknown system relation %s (the sys_ namespace is reserved)", s.Subject.Pred)
+		}
+		return &ExecResult{Query: s, System: fmt.Sprintf("%s — virtual relation: %s", d.Signature(), d.Doc)}, nil
+	}
+	switch {
+	case s.Wildcard:
+		if len(s.Not) > 0 {
+			return nil, fmt.Errorf("kb: 'not' is not supported in a wildcard describe")
+		}
+		d, err := k.getDescriber()
+		if err != nil {
+			return nil, err
+		}
+		entries, err := d.DescribeWildcard(s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: s, Wildcard: entries, wildcard: true}, nil
+	case s.Subjectless:
+		if len(s.Not) > 0 {
+			return nil, fmt.Errorf("kb: 'not' is not supported in a subjectless describe")
+		}
+		d, err := k.getDescriber()
+		if err != nil {
+			return nil, err
+		}
+		p, err := d.Possible(s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: s, Possibility: p}, nil
+	case len(s.Not) > 0:
+		d, err := k.getDescriberFor(s.Subject)
+		if err != nil {
+			return nil, err
+		}
+		n, err := d.DescribeNot(s.Subject, s.Not, s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: s, Necessity: n}, nil
+	default:
+		ans, err := k.describe(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		return &ExecResult{Query: s, Describe: ans, provenance: k.Provenance()}, nil
+	}
+}
+
+// retrieve runs one governed data query (§3.1): a single engine, built
+// with any extra options (a profiler, a provenance recorder), answers
+// the subject under each disjunct of the qualifier, and the answer is
+// the union of the per-disjunct answers (§6's disjunctive qualifier; a
+// plain qualifier is one disjunct). The engine's statistics are recorded
+// (LastStats) whether or not the evaluation stopped early.
+func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, extra ...eval.EngineOption) (*eval.Result, error) {
+	k.mu.RLock()
+	defer k.mu.RUnlock()
+	if k.closed {
+		return nil, ErrClosed
+	}
+	engine := k.newEngine(ctx, extra...)
+	defer k.recordStats(engine)
+	if len(disjuncts) == 1 {
+		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: disjuncts[0]})
+		if err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
+	var merged *eval.Result
+	seen := make(map[string]bool)
+	for _, d := range disjuncts {
+		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: d})
+		if err != nil {
+			return nil, err
+		}
+		if merged == nil {
+			merged = &eval.Result{Vars: res.Vars}
+		}
+		for _, t := range res.Tuples {
+			key := storage.Tuple(t).Key()
+			if !seen[key] {
+				seen[key] = true
+				merged.Tuples = append(merged.Tuples, t)
+			}
+		}
+	}
+	return merged, nil
+}
+
+// describe runs one governed knowledge query (§3.2): `describe … where
+// necessary ψ` (§6 ext. 1) when s.Necessary is set, otherwise the
+// answers that hold under every disjunct of the hypothesis. The describe
+// search checks cancellation cooperatively, and MaxDescribeNodes bounds
+// its steps as a hard error (unlike the describe engine's own MaxNodes
+// option, which truncates). Artificial step-predicate names in the
+// answers are replaced by their @name display names.
+func (k *KB) describe(ctx context.Context, s *parser.Describe) (*core.Answers, error) {
+	asp := obs.SpanFromContext(ctx).Child("analyze")
+	d, err := k.getDescriberFor(s.Subject)
+	asp.End()
+	if err != nil {
+		return nil, err
+	}
+	var ans *core.Answers
+	if s.Necessary {
+		ans, err = d.DescribeNecessaryContext(ctx, s.Subject, s.Where, k.effectiveLimits(ctx))
+	} else {
+		ans, err = d.DescribeOrContext(ctx, s.Subject, s.Disjuncts(), k.effectiveLimits(ctx))
+	}
+	if err != nil {
+		return nil, err
+	}
+	k.observeDescribe(ans.Nodes)
+	k.applyDisplayNames(ans)
+	k.attachNotes(s.Subject, ans)
+	return ans, nil
+}
+
+// ExecResult is the displayable outcome of ExecContext: exactly one of
+// the result fields is set, according to the query form.
 type ExecResult struct {
 	Query    parser.Query
 	Retrieve *eval.Result
@@ -1393,11 +1189,10 @@ func (r *ExecResult) String() string {
 			b.WriteString(strings.Join(lines, "\n"))
 		}
 		if r.Knowledge != nil && !r.Knowledge.Empty() {
-			b.WriteString("\nbecause:\n")
+			b.WriteString("\nbecause:")
 			for _, f := range r.Knowledge.Formulas {
-				b.WriteString("  " + f.String() + "\n")
+				b.WriteString("\n  " + f.String())
 			}
-			return strings.TrimRight(b.String(), "\n")
 		}
 		if r.Profile != nil {
 			b.WriteString("\n\n")

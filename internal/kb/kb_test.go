@@ -57,7 +57,7 @@ func loadKB(t testing.TB, src string) *KB {
 
 func execStr(t testing.TB, k *KB, q string) string {
 	t.Helper()
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -78,11 +78,11 @@ func retrieveEachEngine(t *testing.T, k *KB, stmt string) []string {
 	if !ok {
 		t.Fatalf("%s is not a retrieve", stmt)
 	}
-	res, err := k.Retrieve(r.Subject, r.Where)
+	res, err := k.ExecContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}
-	want := res.Strings()
+	want := res.Retrieve.Strings()
 	k.mu.RLock()
 	in := eval.Input{Store: k.store, Rules: k.rules, Virtual: k.sys.View(k.store, k.rules)}
 	k.mu.RUnlock()
@@ -218,7 +218,7 @@ func TestExecErrors(t *testing.T) {
 		`describe where not honor(X).`,           // not in subjectless
 		`retrieve student(X, Y, Z) where X = Y.`, // var = var qualifier
 	} {
-		if _, err := k.ExecString(q); err == nil {
+		if _, err := k.ExecStringContext(context.Background(), q); err == nil {
 			t.Errorf("ExecString(%q) succeeded, want error", q)
 		}
 	}
@@ -320,7 +320,7 @@ func TestDurableKB(t *testing.T) {
 	if err := k.LoadString(`student(ann, math, 3.9). student(bob, cs, 3.2).`); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Checkpoint(); err != nil {
+	if err := k.CheckpointContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Close(); err != nil {
@@ -363,7 +363,7 @@ func TestRetrieveAllExamplesAgainstAllEngines(t *testing.T) {
 
 func TestExecResultStringForms(t *testing.T) {
 	k := loadKB(t, universityKB)
-	res, err := k.Exec(&parser.Retrieve{Subject: term.NewAtom("honor", term.Var("X"))})
+	res, err := k.ExecContext(context.Background(), &parser.Retrieve{Subject: term.NewAtom("honor", term.Var("X"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func BenchmarkExecRetrieve(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Exec(q); err != nil {
+		if _, err := k.ExecContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func BenchmarkExecDescribe(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Exec(q); err != nil {
+		if _, err := k.ExecContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package kb
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"kdb/internal/eval"
@@ -14,10 +13,10 @@ import (
 	"kdb/internal/parser"
 )
 
-// WithTracer attaches a span tracer: every Exec/ExecString query records
-// a span tree (parse, analyze, eval, describe, storage phases) that the
-// tracer retains and hands to its OnFinish callback. A nil tracer keeps
-// the query path allocation-free.
+// WithTracer attaches a span tracer: every query records a span tree
+// (parse, analyze, eval, describe, storage phases) that the tracer
+// retains and hands to its OnFinish callback. A nil tracer keeps the
+// query path allocation-free.
 func WithTracer(t *obs.Tracer) Option {
 	return func(k *KB) { k.tracer.Store(t) }
 }
@@ -114,40 +113,14 @@ func (k *KB) Tracer() *obs.Tracer { return k.tracer.Load() }
 // log at runtime; it takes effect on the next query.
 func (k *KB) SetQueryLog(l *obs.QueryLog) { k.qlog.Store(l) }
 
-// queryMark marks a context already inside an observed query, so nested
-// Exec paths (ExecStringContext → ExecContext, intensional answering)
-// neither open a second root span nor double-count metrics.
-type queryMark struct{}
-
-// profileHolder lets the finish callback of beginQuery pick up the
-// per-rule profile a nested ProfileContext recorded, so slow-log
-// records carry their own cost breakdown. beginQuery plants it before
-// the statement kind is known; ProfileContext fills it.
-type profileHolder struct {
-	p atomic.Pointer[profile.Profile]
-}
-
-type profileHolderKey struct{}
-
-func profileHolderFromContext(ctx context.Context) *profileHolder {
-	h, _ := ctx.Value(profileHolderKey{}).(*profileHolder)
-	return h
-}
-
-// activityMark mirrors queryMark for the activity registry: nested Exec
-// paths must not register a second in-flight entry.
-type activityMark struct{}
-
 // beginActivity registers the query in the attached activity registry
 // under a cancelable child context and returns it with a done func;
-// done deregisters. Returns ctx, nil when no registry is attached or
-// the context is already inside a registered query.
+// done deregisters. Returns ctx, nil when no registry is attached.
 func (k *KB) beginActivity(ctx context.Context, kind, stmt string) (context.Context, func()) {
 	reg := k.activity.Load()
-	if reg == nil || ctx.Value(activityMark{}) != nil {
+	if reg == nil {
 		return ctx, nil
 	}
-	ctx = context.WithValue(ctx, activityMark{}, true)
 	cctx, cancel := context.WithCancel(ctx)
 	ci, _ := obs.ClientFromContext(ctx)
 	a := reg.Begin(stmt, kind, ci.Tenant, ci.Client, obs.SpanFromContext(ctx).TraceID(), cancel)
@@ -164,20 +137,19 @@ func (k *KB) beginActivity(ctx context.Context, kind, stmt string) (context.Cont
 // "serve" phase), the query span is created as its child and the parent
 // owns trace retention; otherwise a fresh root is started on the KB's
 // tracer and finished there. The returned finish func ends the scope;
-// call it exactly once with the statement kind, the statement text, and
-// the query's error. When no tracer, metrics, query log, or query
-// statistics is configured — or when the context is already inside an
-// observed query — ctx comes back untouched and finish is nil, keeping
-// the disabled path free of allocations.
-func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt string, err error)) {
+// call it exactly once with the statement kind, the statement text, the
+// profile the evaluation recorded (nil if none), and the query's error.
+// When no tracer, metrics, query log, or query statistics is configured,
+// ctx comes back untouched and finish is nil, keeping the disabled path
+// free of allocations.
+func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt string, prof *profile.Profile, err error)) {
 	tr := k.tracer.Load()
 	qm := k.qmetrics.Load()
 	ql := k.qlog.Load()
 	qs := k.qstats.Load()
-	if (tr == nil && qm == nil && ql == nil && qs == nil) || ctx.Value(queryMark{}) != nil {
+	if tr == nil && qm == nil && ql == nil && qs == nil {
 		return ctx, nil
 	}
-	ctx = context.WithValue(ctx, queryMark{}, true)
 	var root *obs.Span
 	owned := true
 	if parent := obs.SpanFromContext(ctx); parent != nil {
@@ -187,15 +159,10 @@ func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt s
 		root = tr.Start("query")
 	}
 	ctx = obs.ContextWithSpan(ctx, root)
-	var holder *profileHolder
-	if ql != nil {
-		holder = &profileHolder{}
-		ctx = context.WithValue(ctx, profileHolderKey{}, holder)
-	}
 	start := time.Now()
 	prev := k.lastStats.Load()
 	ci, _ := obs.ClientFromContext(ctx)
-	return ctx, func(kind, stmt string, err error) {
+	return ctx, func(kind, stmt string, prof *profile.Profile, err error) {
 		d := time.Since(start)
 		qs.Observe(stmt, d)
 		stop := governor.StopReason(err)
@@ -241,8 +208,8 @@ func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt s
 				rec.IndexBuilds = st.IndexBuilds
 				rec.ProvEntries = int64(st.ProvEntries)
 			}
-			if p := holder.p.Load(); p != nil {
-				rec.Profile = p.Rows()
+			if prof != nil {
+				rec.Profile = prof.Rows()
 			}
 			ql.Observe(rec) // best-effort: a full disk must not fail the query
 		}

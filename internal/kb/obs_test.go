@@ -1,12 +1,14 @@
 package kb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
+	"kdb/internal/parser"
 )
 
 const obsTestProgram = `
@@ -43,7 +45,7 @@ func TestTracedDescribeSpanTree(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`describe honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `describe honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	root := tr.Last()
@@ -87,7 +89,7 @@ func TestTracedRetrieveSpanTree(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	root := tr.Last()
@@ -119,9 +121,10 @@ func TestTracedRetrieveSpanTree(t *testing.T) {
 	}
 }
 
-// TestTraceSingleRootPerQuery guards the double-counting bug:
-// ExecStringContext delegates to ExecContext, and only the outermost
-// layer may open a root span and record the query metrics.
+// TestTraceSingleRootPerQuery guards the double-counting bug: each
+// query opens exactly one root span and records the query metrics once,
+// whichever entry point it came through — including a retrieve whose
+// intensional answer runs a describe inside the same query.
 func TestTraceSingleRootPerQuery(t *testing.T) {
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
@@ -129,11 +132,19 @@ func TestTraceSingleRootPerQuery(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	k.SetIntensional(true)
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tr.Recent()); got != 1 {
-		t.Errorf("traces recorded = %d, want 1", got)
+	q, err := parser.ParseQuery(`retrieve honor(X).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.ExecContext(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tr.Recent()); got != 2 {
+		t.Errorf("traces recorded = %d, want 2", got)
 	}
 	total := 0.0
 	for _, p := range reg.Snapshot() {
@@ -141,8 +152,8 @@ func TestTraceSingleRootPerQuery(t *testing.T) {
 			total += p.Value
 		}
 	}
-	if total != 1 {
-		t.Errorf("kdb_queries_total = %v, want 1", total)
+	if total != 2 {
+		t.Errorf("kdb_queries_total = %v, want 2", total)
 	}
 }
 
@@ -154,10 +165,10 @@ func TestMetricsRecording(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`describe honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `describe honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]float64{}
@@ -198,7 +209,7 @@ func TestStopReasonMetric(t *testing.T) {
 	if err := k.LoadString(sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve reach(X, Y).`); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve reach(X, Y).`); err == nil {
 		t.Fatal("expected a limit stop")
 	}
 	found := false
@@ -218,12 +229,12 @@ func TestSetTracerRuntimeToggle(t *testing.T) {
 	if err := k.LoadString(obsTestProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
 	k.SetTracer(tr)
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Last() == nil {
@@ -231,7 +242,7 @@ func TestSetTracerRuntimeToggle(t *testing.T) {
 	}
 	k.SetTracer(nil)
 	prev := tr.Last()
-	if _, err := k.ExecString(`retrieve honor(X).`); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), `retrieve honor(X).`); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Last() != prev {

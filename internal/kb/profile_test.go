@@ -2,10 +2,13 @@ package kb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"kdb/internal/governor"
 	"kdb/internal/obs"
 )
 
@@ -17,7 +20,7 @@ func TestProfileStatement(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.ExecString("profile reachable(la, X).")
+	res, err := k.ExecStringContext(context.Background(), "profile reachable(la, X).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +53,25 @@ func TestSetProfiling(t *testing.T) {
 		t.Fatal("profiling on by default")
 	}
 	k.SetProfiling(true)
-	res, err := k.ExecString("retrieve reachable(la, X).")
+	res, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X).")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Profile == nil || len(res.Profile.Rows()) == 0 {
 		t.Error("always-on profiling attached no profile to retrieve")
 	}
+	res, err = k.ExecStringContext(context.Background(), "retrieve reachable(la, X) where X = sf or X = ny.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Profile == nil || len(res.Profile.Rows()) == 0 {
+		t.Error("always-on profiling attached no profile to a disjunctive retrieve")
+	}
+	if got := res.String(); !strings.HasPrefix(got, "reachable(la, ny)\nreachable(la, sf)\n\nprofile: engine=") {
+		t.Errorf("disjunctive retrieve rendering:\n%s", got)
+	}
 	k.SetProfiling(false)
-	res, err = k.ExecString("retrieve reachable(la, X).")
+	res, err = k.ExecStringContext(context.Background(), "retrieve reachable(la, X).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +90,10 @@ func TestQueryLogProfileRows(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("profile reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "profile reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -116,5 +129,69 @@ func TestQueryLogProfileRows(t *testing.T) {
 	}
 	if plain.Profile != nil {
 		t.Errorf("unprofiled record carries profile rows: %s", lines[1])
+	}
+}
+
+// TestQueryLogPartialProfile: a profile statement stopped by a limit
+// still logs the per-rule rows it recorded before the stop, so the slow
+// log shows where a killed query spent its time.
+func TestQueryLogPartialProfile(t *testing.T) {
+	var buf bytes.Buffer
+	k := New(WithQueryLog(obs.NewQueryLog(&buf, 0)), WithQueryLimits(governor.Limits{MaxFacts: 3}))
+	if err := k.LoadString(routesProgram); err != nil {
+		t.Fatal(err)
+	}
+	_, err := k.ExecStringContext(context.Background(), "profile reachable(X, Y).")
+	var le *governor.LimitError
+	if !errors.As(err, &le) || le.Kind != governor.LimitFacts {
+		t.Fatalf("err = %v, want a facts LimitError", err)
+	}
+	var rec struct {
+		Kind    string `json:"kind"`
+		Stop    string `json:"stop"`
+		Profile []struct {
+			Rule string `json:"rule"`
+		} `json:"profile"`
+	}
+	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
+		t.Fatalf("log %q: %v", buf.String(), err)
+	}
+	if rec.Kind != "profile" || rec.Stop != "limit:facts" {
+		t.Errorf("record kind=%q stop=%q, want profile and limit:facts", rec.Kind, rec.Stop)
+	}
+	var sawBase bool
+	for _, r := range rec.Profile {
+		if r.Rule == "reachable(X, Y) :- flight(X, Y)." {
+			sawBase = true
+		}
+	}
+	if !sawBase {
+		t.Errorf("partial profile rows missing the base rule: %s", buf.String())
+	}
+}
+
+// TestProfileRenderedWithKnowledge: with always-on profiling and
+// intensional answering both on, a retrieve renders its answers, then
+// the knowledge characterizing them, then the profile.
+func TestProfileRenderedWithKnowledge(t *testing.T) {
+	k := New()
+	if err := k.LoadString(routesProgram); err != nil {
+		t.Fatal(err)
+	}
+	k.SetProfiling(true)
+	k.SetIntensional(true)
+	res, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X) where flight(X, chi).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Knowledge == nil || res.Profile == nil {
+		t.Fatalf("knowledge=%v profile=%v, want both", res.Knowledge, res.Profile)
+	}
+	out := res.String()
+	answers := strings.Index(out, "reachable(la, dal)")
+	because := strings.Index(out, "\nbecause:\n")
+	prof := strings.Index(out, "\n\nprofile: engine=")
+	if answers < 0 || because < answers || prof < because {
+		t.Errorf("want answers, then because:, then the profile:\n%s", out)
 	}
 }

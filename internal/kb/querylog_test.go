@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -22,17 +23,17 @@ func TestQueryLogRecordsQueries(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve hub(X)."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve hub(X)."); err == nil {
 		// hub is not defined in routesProgram; either way the log gets a line.
 		t.Log("retrieve hub succeeded")
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("explain reachable(la, ny)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "explain reachable(la, ny)."); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("this is not a statement."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "this is not a statement."); err == nil {
 		t.Fatal("malformed statement parsed")
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -85,7 +86,7 @@ func TestQueryLogSlowThreshold(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
@@ -101,7 +102,7 @@ func TestQueryLogTraceID(t *testing.T) {
 	if err := k.LoadString(routesProgram); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	var rec struct {
@@ -141,7 +142,7 @@ func TestSetQueryLogDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.SetQueryLog(nil)
-	if _, err := k.ExecString("retrieve reachable(la, X)."); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve reachable(la, X)."); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {

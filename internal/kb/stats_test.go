@@ -1,11 +1,13 @@
 package kb
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"kdb/internal/parser"
 	"kdb/internal/term"
 )
 
@@ -33,8 +35,7 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 	if k.LastStats() != nil {
 		t.Fatal("stats must be nil before any retrieve")
 	}
-	res, err := k.Retrieve(term.NewAtom("prior", term.Var("X"), term.Var("Y")), nil)
-	if err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve prior(X, Y)."); err != nil {
 		t.Fatal(err)
 	}
 	st := k.LastStats()
@@ -66,13 +67,12 @@ func TestLastStatsAfterRetrieve(t *testing.T) {
 		t.Errorf("prior component missing from stats: %+v", st.Components)
 	}
 	// Pointer freshness: a new retrieve stores a new record.
-	if _, err := k.Retrieve(term.NewAtom("honor", term.Var("X")), nil); err != nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve honor(X)."); err != nil {
 		t.Fatal(err)
 	}
 	if k.LastStats() == st {
 		t.Error("LastStats must change after another retrieve")
 	}
-	_ = res
 }
 
 // TestLastStatsPerEngine: the stats name the strategy each query ran
@@ -87,7 +87,7 @@ func TestLastStatsPerEngine(t *testing.T) {
 		{term.NewAtom("can_ta", x, y), "seminaive"},
 	} {
 		k := loadKB(t, universityKB)
-		if _, err := k.Retrieve(tc.subject, nil); err != nil {
+		if _, err := k.ExecContext(context.Background(), &parser.Retrieve{Subject: tc.subject}); err != nil {
 			t.Fatalf("%v: %v", tc.subject, err)
 		}
 		st := k.LastStats()
@@ -121,7 +121,7 @@ func TestParallelKBAgreesWithSequential(t *testing.T) {
 
 func TestCheckConstraintsRecordsStats(t *testing.T) {
 	k := loadKB(t, universityKB+"\n:- honor(X), student(X, cs, G).\n")
-	if _, err := k.CheckConstraints(); err != nil {
+	if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if k.LastStats() == nil {

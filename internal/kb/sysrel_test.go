@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -103,7 +104,7 @@ func TestSysQueryStats(t *testing.T) {
 
 func TestDescribeSysRelation(t *testing.T) {
 	k := loadKB(t, universityKB)
-	res, err := k.ExecString("describe sys_metric.")
+	res, err := k.ExecStringContext(context.Background(), "describe sys_metric.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestDescribeSysRelation(t *testing.T) {
 	if res.String() != res.System {
 		t.Errorf("String() = %q, want the system text", res.String())
 	}
-	if _, err := k.ExecString("describe sys_bogus."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "describe sys_bogus."); err == nil {
 		t.Error("describe of an unknown system relation succeeded")
 	}
 }
@@ -150,10 +151,10 @@ func TestSysNamespaceRejections(t *testing.T) {
 		t.Errorf("wrong-arity load error = %v", err)
 	}
 
-	if _, err := k.ExecString("retrieve sys_bogus(X)."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve sys_bogus(X)."); err == nil {
 		t.Error("retrieving an unknown system relation succeeded")
 	}
-	if _, err := k.ExecString("retrieve sys_metric(X)."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve sys_metric(X)."); err == nil {
 		t.Error("retrieving sys_metric at the wrong arity succeeded")
 	}
 }
@@ -172,7 +173,7 @@ func TestWithoutSystemRelations(t *testing.T) {
 	if out := execStr(t, k, "retrieve edge(X, Y)."); out != "edge(a, b)" {
 		t.Errorf("plain retrieve = %q", out)
 	}
-	if _, err := k.ExecString("retrieve sys_relation(N, A, F)."); err == nil {
+	if _, err := k.ExecStringContext(context.Background(), "retrieve sys_relation(N, A, F)."); err == nil {
 		t.Error("sys_relation answered on a KB without system relations")
 	}
 	// The namespace stays reserved even with the provider off.

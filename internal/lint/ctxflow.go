@@ -15,9 +15,10 @@ var ctxflowScope = []string{"internal/kb", "internal/server", "internal/eval", "
 //
 //  1. Below entry-point depth (the ctxflowScope packages), calls to
 //     context.Background and context.TODO are rejected unless the
-//     enclosing function's doc carries //kdb:entrypoint — the audited
-//     compatibility wrappers (Exec → ExecContext and friends) that ARE
-//     the documented start of a context chain.
+//     enclosing function's doc carries //kdb:entrypoint — an audited
+//     function that IS the documented start of a context chain (such as
+//     server.New, whose context.Background stands in for an unset base
+//     context).
 //  2. Everywhere (cmd and internal alike): a function that already has
 //     a context in hand — a context.Context parameter or an
 //     *http.Request — must not call a method Foo when a FooContext

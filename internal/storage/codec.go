@@ -59,7 +59,7 @@ func decodeTerm(b []byte) (term.Term, []byte, error) {
 		v := math.Float64frombits(binary.BigEndian.Uint64(b[:8]))
 		return term.Num(v), b[8:], nil
 	}
-	n, sz := binary.Uvarint(b)
+	n, sz := uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
 		return term.Term{}, nil, fmt.Errorf("storage: truncated string payload")
 	}
@@ -95,19 +95,25 @@ func encodeFact(pred string, t Tuple) ([]byte, error) {
 	return b, nil
 }
 
-// decodeFact parses a record produced by encodeFact.
+// decodeFact parses a record produced by encodeFact. The record comes
+// from a file, so every length and count in it is checked against the
+// bytes actually present before anything is allocated.
 func decodeFact(b []byte) (string, Tuple, error) {
-	n, sz := binary.Uvarint(b)
+	n, sz := uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
 		return "", nil, fmt.Errorf("storage: truncated predicate name")
 	}
 	pred := string(b[sz : sz+int(n)])
 	b = b[sz+int(n):]
-	arity, sz := binary.Uvarint(b)
+	arity, sz := uvarint(b)
 	if sz <= 0 {
 		return "", nil, fmt.Errorf("storage: truncated arity")
 	}
 	b = b[sz:]
+	// Every term takes at least two bytes (a tag and a length or more).
+	if arity > uint64(len(b)/2) {
+		return "", nil, fmt.Errorf("storage: arity %d exceeds the %d-byte record", arity, len(b))
+	}
 	t := make(Tuple, 0, arity)
 	for i := uint64(0); i < arity; i++ {
 		var x term.Term
@@ -122,4 +128,15 @@ func decodeFact(b []byte) (string, Tuple, error) {
 		return "", nil, fmt.Errorf("storage: %d trailing bytes in fact record", len(b))
 	}
 	return pred, t, nil
+}
+
+// uvarint decodes a uvarint like binary.Uvarint but rejects (sz == 0)
+// the non-minimal encodings the encoder never writes, so every record
+// that decodes re-encodes to exactly the bytes it was read from.
+func uvarint(b []byte) (uint64, int) {
+	v, sz := binary.Uvarint(b)
+	if sz > 1 && b[sz-1] == 0 {
+		return 0, 0
+	}
+	return v, sz
 }

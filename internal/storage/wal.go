@@ -67,16 +67,22 @@ func writeRecord(w io.Writer, payload []byte) error {
 // errTornRecord marks a truncated or corrupt record tail.
 var errTornRecord = errors.New("storage: torn record")
 
-// readRecord reads one framed record.
+// readRecord reads one framed record. Replay measures the valid prefix
+// of a log by re-encoding each frame header, so a length in a form the
+// writer never produces (non-minimal) counts as torn.
 func readRecord(r *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
+	hdr, err := r.Peek(binary.MaxVarintLen64)
+	if len(hdr) == 0 {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, errTornRecord
 	}
-	if n > maxRecordSize {
+	n, sz := uvarint(hdr)
+	if sz <= 0 || n > maxRecordSize {
+		return nil, errTornRecord
+	}
+	if _, err := r.Discard(sz); err != nil {
 		return nil, errTornRecord
 	}
 	payload := make([]byte, n)

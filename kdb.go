@@ -24,8 +24,9 @@
 //	    student(ann, math, 3.9).
 //	    honor(X) :- student(X, M, G), G > 3.7.
 //	`)
-//	res, err := k.ExecString(`retrieve honor(X).`)   // → honor(ann)
-//	res, err = k.ExecString(`describe honor(X).`)    // → honor(X) <- student(X, M, G) and G > 3.7
+//	ctx := context.Background()
+//	res, err := k.ExecStringContext(ctx, `retrieve honor(X).`) // → honor(ann)
+//	res, err = k.ExecStringContext(ctx, `describe honor(X).`)  // → honor(X) <- student(X, M, G) and G > 3.7
 //
 // Facts can be made durable with Open (snapshot + write-ahead log with
 // crash recovery). The surface language is documented in the repository
@@ -77,8 +78,8 @@ type (
 )
 
 // Query-governor types: per-query resource control for every evaluation
-// path (see WithQueryLimits and the context-taking KB methods —
-// ExecContext, RetrieveContext, DescribeContext).
+// path (see WithQueryLimits and the context every query enters the KB
+// with — KB.ExecContext and KB.ExecStringContext).
 type (
 	// QueryLimits are the per-query resource bounds. The zero value of
 	// every field means unlimited.
@@ -141,7 +142,7 @@ var ErrClosed = kb.ErrClosed
 // storage": a WAL append or fsync failure, a poisoned log, a failed
 // checkpoint. Callers deciding between retrying a request and walling
 // off a failing store key on it; KB.DurabilityErr reports the sticky
-// form, and a successful Checkpoint clears it.
+// form, and a successful CheckpointContext clears it.
 var ErrDurability = storage.ErrDurability
 
 // ContextWithQueryLimits attaches per-request query limits to a
@@ -274,9 +275,9 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// WithTracer attaches a span tracer to the KB: every Exec/ExecString
-// query records a span tree of its phases. Nil keeps tracing disabled
-// with no overhead on the query path.
+// WithTracer attaches a span tracer to the KB: every query records a
+// span tree of its phases. Nil keeps tracing disabled with no overhead
+// on the query path.
 func WithTracer(t *Tracer) Option { return kb.WithTracer(t) }
 
 // WithMetrics registers the KB's instruments (query latency histograms
@@ -300,7 +301,7 @@ func WriteTraceTree(w io.Writer, root *Span) error { return obs.WriteTree(w, roo
 func DebugHandler(reg *MetricsRegistry) http.Handler { return obs.DebugHandler(reg) }
 
 // Provenance & explain types: the why-provenance layer behind the
-// `explain` statement (see KB.Explain).
+// `explain` statement (see ExecResult.Explanation).
 type (
 	// Explanation is the reconstructed derivation of every answer to an
 	// explain statement: one tree per answer fact, plus the legend of
@@ -351,7 +352,7 @@ func WriteExplainChromeTrace(w io.Writer, e *Explanation) error {
 func MetricsJSON(reg *MetricsRegistry) ([]byte, error) { return obs.MetricsJSON(reg) }
 
 // Profiling & live introspection types: per-rule cost accounting behind
-// the `profile` statement (see KB.ProfileContext and KB.SetProfiling)
+// the `profile` statement (see ExecResult.Profile and KB.SetProfiling)
 // and the in-flight query registry behind /v1/debug/activity and
 // `kdb top`.
 type (

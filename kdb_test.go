@@ -1,6 +1,7 @@
 package kdb_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func loadRoutes(t testing.TB) *kdb.KB {
 
 func exec(t testing.TB, k *kdb.KB, q string) string {
 	t.Helper()
-	res, err := k.ExecString(q)
+	res, err := k.ExecStringContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -150,7 +151,7 @@ func TestRoutesIntroQueries(t *testing.T) {
 		t.Errorf("= %q", got)
 	}
 	// "Must every roundtrip endpoint be reachable both ways?" via not:
-	res, err := k.ExecString(`describe roundtrip(X, Y) where not reachable(X, Y).`)
+	res, err := k.ExecStringContext(context.Background(), `describe roundtrip(X, Y) where not reachable(X, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
