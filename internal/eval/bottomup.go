@@ -14,20 +14,39 @@ import (
 	"kdb/internal/term"
 )
 
-// finishStats finalizes a stats record after the component loop: wall
-// time, per-component sums, storage counters, and — for a governed
-// stop — the stop reason.
-func finishStats(stats *EvalStats, start time.Time, counters *storage.Counters, err error) {
+// finish completes an evaluation's record — wall time, storage
+// counters, provenance witnesses, stop reason — closes the profile and
+// the eval span, emits the storage-probe summary span, and returns the
+// *StopError of a governed stop (nil otherwise). Nil-safe spans
+// (untraced queries pass nil).
+func (e *engine) finish(stats *EvalStats, start time.Time, counters *storage.Counters, provStart int, evalSp, sp *obs.Span, runErr error) error {
 	stats.Wall = time.Since(start)
-	for i := range stats.Components {
-		stats.Facts += stats.Components[i].Facts
-		stats.Lookups += stats.Components[i].Lookups
-	}
 	stats.Probes = counters.Probes.Load()
 	stats.Candidates = counters.Candidates.Load()
 	stats.IndexBuilds = counters.IndexBuilds.Load()
 	stats.FullScans = counters.FullScans.Load()
-	stats.StopReason = governor.StopReason(err)
+	stats.ProvEntries = e.rec.Len() - provStart
+	stats.StopReason = governor.StopReason(runErr)
+	if e.prof != nil {
+		e.prof.Finish(stats.Engine, stats.Wall)
+	}
+	evalSp.SetInt("facts", int64(stats.Facts))
+	evalSp.SetInt("lookups", stats.Lookups)
+	if stats.StopReason != "" && stats.StopReason != "ok" {
+		evalSp.SetStr("stop", stats.StopReason)
+	}
+	evalSp.End()
+	if sp != nil {
+		ssp := sp.Child("storage")
+		ssp.SetInt("probes", stats.Probes)
+		ssp.SetInt("candidates", stats.Candidates)
+		ssp.SetInt("index_builds", stats.IndexBuilds)
+		ssp.End()
+	}
+	if runErr != nil {
+		return &StopError{Stats: stats, Err: runErr}
+	}
+	return nil
 }
 
 // derived holds the materialized extensions of IDB predicates during a
@@ -222,36 +241,14 @@ func (e *engine) bottomUp(ctx context.Context, gov *governor.Governor, p *plan) 
 	} else {
 		runErr = runDAG(e.workers, p.graph.SCCDeps(), evalOne)
 	}
-	finishStats(stats, start, counters, runErr)
-	stats.ProvEntries = e.rec.Len() - provStart
-	if e.prof != nil {
-		e.prof.Finish(name, stats.Wall)
+	for _, c := range stats.Components {
+		stats.Facts += c.Facts
+		stats.Lookups += c.Lookups
 	}
-	e.stats.Store(stats)
-	endEvalSpan(evalSp, sp, stats)
-	if runErr != nil {
-		return nil, &StopError{Stats: stats, Err: runErr}
+	if err := e.finish(stats, start, counters, provStart, evalSp, sp, runErr); err != nil {
+		return nil, err
 	}
-	return collect(p, d), nil
-}
-
-// endEvalSpan folds the finished stats into the eval span and emits the
-// storage-probe summary span. Nil-safe (untraced queries pass nil).
-func endEvalSpan(evalSp, parent *obs.Span, stats *EvalStats) {
-	evalSp.SetInt("facts", int64(stats.Facts))
-	evalSp.SetInt("lookups", stats.Lookups)
-	if stats.StopReason != "" && stats.StopReason != "ok" {
-		evalSp.SetStr("stop", stats.StopReason)
-	}
-	evalSp.End()
-	if parent == nil {
-		return
-	}
-	ssp := parent.Child("storage")
-	ssp.SetInt("probes", stats.Probes)
-	ssp.SetInt("candidates", stats.Candidates)
-	ssp.SetInt("index_builds", stats.IndexBuilds)
-	ssp.End()
+	return collect(p, d, stats), nil
 }
 
 // fullLookup builds the component-local lookup over the union of the
@@ -587,8 +584,8 @@ func solveBodyPinned(body []term.Atom, pin int, full lookup, delta *derived, gov
 }
 
 // collect extracts the result tuples from the derived query relation.
-func collect(p *plan, d *derived) *Result {
-	res := &Result{Vars: p.vars}
+func collect(p *plan, d *derived, stats *EvalStats) *Result {
+	res := &Result{Vars: p.vars, Stats: stats}
 	r := d.get(queryPredName)
 	if r == nil {
 		return res

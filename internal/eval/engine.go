@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 
 	"kdb/internal/governor"
 	"kdb/internal/obs"
@@ -76,7 +75,6 @@ type engine struct {
 	engineConfig
 	in       Input
 	strategy strategy
-	stats    atomic.Pointer[EvalStats]
 }
 
 func newEngine(in Input, s strategy, opts []EngineOption) *engine {
@@ -135,11 +133,9 @@ func (e *engine) bottomUpName() string {
 	return name
 }
 
-// LastStats returns the statistics of the most recent evaluation.
-func (e *engine) LastStats() *EvalStats { return e.stats.Load() }
-
 // RetrieveContext plans the query and evaluates it under the context
-// and the engine's limits. Cancellation, deadline expiry, and limit
+// and the engine's limits; the answer carries the evaluation's
+// statistics (Result.Stats). Cancellation, deadline expiry, and limit
 // breaches stop the evaluation promptly and return a *StopError; panics
 // anywhere in the evaluation (worker goroutines included) are contained.
 func (e *engine) RetrieveContext(ctx context.Context, q Query) (res *Result, err error) {

@@ -37,7 +37,7 @@ func TestProductionEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
-		if got := e.(StatsReporter).LastStats().Engine; got != tc.want {
+		if got := res.Stats.Engine; got != tc.want {
 			t.Errorf("%s ran on %s, want %s", tc.q, got, tc.want)
 		}
 		oracle, err := NewNaive(in).RetrieveContext(context.Background(), query(t, tc.q))
@@ -116,7 +116,7 @@ func TestQuickProductionMatchesNaive(t *testing.T) {
 				t.Logf("seed %d %s: %v", seed, qs, err)
 				return false
 			}
-			if st := e.(StatsReporter).LastStats(); st.Engine != ran {
+			if st := got.Stats; st.Engine != ran {
 				t.Logf("seed %d %s: ran on %s, want %s", seed, qs, st.Engine, ran)
 				return false
 			}
@@ -156,7 +156,7 @@ func TestProductionBoundGoalStaysInItsComponent(t *testing.T) {
 		if len(res.Tuples) != 20 {
 			t.Fatalf("reachable from l00 = %d, want 20", len(res.Tuples))
 		}
-		return e.(StatsReporter).LastStats()
+		return res.Stats
 	}
 	alone, both := run(chains("l")), run(chains("l", "r"))
 	if both.Engine != "topdown" {
@@ -165,5 +165,40 @@ func TestProductionBoundGoalStaysInItsComponent(t *testing.T) {
 	if both.Facts != alone.Facts || both.Lookups != alone.Lookups {
 		t.Errorf("unreachable chain changed the work: facts %d vs %d, lookups %d vs %d",
 			both.Facts, alone.Facts, both.Lookups, alone.Lookups)
+	}
+}
+
+// TestEvalStatsAdd: summing the records of one query's evaluations adds
+// every counter, appends components in run order, names each strategy
+// once in run order, and keeps the last stop reason.
+func TestEvalStatsAdd(t *testing.T) {
+	td := func() *EvalStats {
+		return &EvalStats{Engine: "topdown", Workers: 1, Facts: 3, Lookups: 5, Passes: 2, Tables: 1, Probes: 7}
+	}
+	sn := &EvalStats{Engine: "seminaive", Workers: 1, Facts: 4, Lookups: 6, Probes: 1, FullScans: 1,
+		Candidates: 9, IndexBuilds: 2, ProvEntries: 4, StopReason: "limit:facts",
+		Components: []ComponentStats{{Preds: []string{"p"}, Iterations: 3}}}
+	first := td()
+	var sum *EvalStats
+	for _, st := range []*EvalStats{first, nil, sn, td()} {
+		sum = sum.Add(st)
+	}
+	if sum != first {
+		t.Error("the sum must start from the first record, like append")
+	}
+	want := EvalStats{Engine: "topdown+seminaive", Workers: 1, Facts: 10, Lookups: 16, Passes: 4, Tables: 2,
+		Probes: 15, FullScans: 1, Candidates: 9, IndexBuilds: 2, ProvEntries: 4, StopReason: "limit:facts",
+		Components: []ComponentStats{{Preds: []string{"p"}, Iterations: 3}}}
+	if !reflect.DeepEqual(*sum, want) {
+		t.Errorf("sum = %+v\nwant  %+v", *sum, want)
+	}
+	if got := sum.Iterations(); got != 7 {
+		t.Errorf("Iterations() = %d, want 4 passes + 3 rounds", got)
+	}
+	if sn.Facts != 4 || len(sn.Components) != 1 {
+		t.Errorf("Add changed the record it folded in: %+v", sn)
+	}
+	if (*EvalStats)(nil).Add(nil) != nil {
+		t.Error("the sum of no records must be nil")
 	}
 }

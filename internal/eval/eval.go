@@ -57,6 +57,9 @@ type Result struct {
 	Vars []term.Term
 	// Tuples are the bindings, parallel to Vars.
 	Tuples []storage.Tuple
+	// Stats is the record of the evaluation that produced the answer; a
+	// governed stop carries it on the *StopError instead.
+	Stats *EvalStats
 }
 
 // Atoms renders the result as instantiated subject atoms.

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"errors"
+
 	"kdb/internal/term"
 )
 
@@ -17,6 +19,20 @@ type StopError struct {
 }
 
 func (e *StopError) Error() string { return e.Err.Error() }
+
+// StatsOf returns an evaluation's statistics from its outcome: the
+// answer's, or the snapshot a governed stop carries; nil when nothing
+// was evaluated (a planning error).
+func StatsOf(res *Result, err error) *EvalStats {
+	if err == nil {
+		return res.Stats
+	}
+	var se *StopError // declared here: it escapes, so only a failure pays for it
+	if errors.As(err, &se) {
+		return se.Stats
+	}
+	return nil
+}
 
 // Unwrap exposes the breach to errors.Is / errors.As.
 func (e *StopError) Unwrap() error { return e.Err }

@@ -386,7 +386,7 @@ path(X, Y) :- e(X, Z), path(Z, Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.(StatsReporter).LastStats()
+	st := res.Stats
 	if st == nil {
 		t.Fatal("no stats recorded")
 	}
@@ -432,14 +432,15 @@ func TestEvalStatsParallelWorkers(t *testing.T) {
 	q := query(t, `retrieve top(X, Y).`)
 	seq := NewSemiNaive(in)
 	par := NewSemiNaive(in, WithWorkers(4))
-	if _, err := seq.RetrieveContext(context.Background(), q); err != nil {
+	sres, err := seq.RetrieveContext(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := par.RetrieveContext(context.Background(), q); err != nil {
+	pres, err := par.RetrieveContext(context.Background(), q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sst := seq.(StatsReporter).LastStats()
-	pst := par.(StatsReporter).LastStats()
+	sst, pst := sres.Stats, pres.Stats
 	if pst.Workers != 4 || pst.Engine != "seminaive-par" {
 		t.Errorf("parallel stats: engine=%q workers=%d", pst.Engine, pst.Workers)
 	}
@@ -465,10 +466,11 @@ func TestEvalStatsParallelWorkers(t *testing.T) {
 func TestTopDownStats(t *testing.T) {
 	in := load(t, universityDB)
 	e := NewTopDown(in)
-	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve can_ta(X, databases).`)); err != nil {
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve can_ta(X, databases).`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.(StatsReporter).LastStats()
+	st := res.Stats
 	if st == nil || st.Passes == 0 || st.Tables == 0 || st.Lookups == 0 {
 		t.Fatalf("incomplete top-down stats: %+v", st)
 	}

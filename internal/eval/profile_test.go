@@ -138,7 +138,8 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 `
 	p := profile.New()
 	e := NewSemiNaive(load(t, src), WithProfile(p))
-	if _, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`)); err != nil {
+	res, err := e.RetrieveContext(context.Background(), query(t, `retrieve path(X, Y).`))
+	if err != nil {
 		t.Fatalf("retrieve: %v", err)
 	}
 	var probes, scans int64
@@ -156,7 +157,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		t.Fatalf("full scans %d exceed probes %d", scans, probes)
 	}
 	// The chained per-rule counters must feed the engine totals too.
-	st := e.(StatsReporter).LastStats()
+	st := res.Stats
 	if st == nil {
 		t.Fatal("no stats recorded")
 	}

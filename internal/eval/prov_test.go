@@ -57,7 +57,7 @@ path(X, Y) :- edge(X, Z), path(Z, Y).
 		if rec.Len() == 0 {
 			t.Errorf("%s: no witnesses recorded", name)
 		}
-		st := e.(StatsReporter).LastStats()
+		st := res.Stats
 		if st.ProvEntries != rec.Len() {
 			t.Errorf("%s: stats.ProvEntries = %d, recorder has %d", name, st.ProvEntries, rec.Len())
 		}

@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -70,11 +72,44 @@ type EvalStats struct {
 	StopReason string `json:"stop_reason,omitempty"`
 }
 
-// StatsReporter is implemented by engines that record evaluation
-// statistics. LastStats returns the record of the most recent Retrieve,
-// or nil if none completed yet.
-type StatsReporter interface {
-	LastStats() *EvalStats
+// Add folds the record of another evaluation of the same query (the
+// next disjunct of a retrieve, the next constraint of a check) into s
+// and returns the sum; like append, s is updated in place and a nil s
+// becomes o. Counters and wall times add, components append in run
+// order, and Engine names each strategy once, in run order
+// ("topdown+seminaive"). A nil o leaves s as it is.
+func (s *EvalStats) Add(o *EvalStats) *EvalStats {
+	if s == nil || o == nil {
+		return cmp.Or(s, o)
+	}
+	if !slices.Contains(strings.Split(s.Engine, "+"), o.Engine) {
+		s.Engine += "+" + o.Engine
+	}
+	s.Workers = max(s.Workers, o.Workers)
+	s.Components = append(s.Components, o.Components...)
+	s.Facts += o.Facts
+	s.Lookups += o.Lookups
+	s.Passes += o.Passes
+	s.Tables += o.Tables
+	s.Probes += o.Probes
+	s.FullScans += o.FullScans
+	s.Candidates += o.Candidates
+	s.IndexBuilds += o.IndexBuilds
+	s.ProvEntries += o.ProvEntries
+	s.Wall += o.Wall
+	if o.StopReason != "" {
+		s.StopReason = o.StopReason
+	}
+	return s
+}
+
+// Iterations totals the fixpoint rounds: top-down passes plus SCC rounds.
+func (s *EvalStats) Iterations() int64 {
+	n := int64(s.Passes)
+	for _, c := range s.Components {
+		n += int64(c.Iterations)
+	}
+	return n
 }
 
 // String renders the record as a small report: one summary line followed

@@ -66,7 +66,7 @@ func TestConcurrentQueryStatsIsolation(t *testing.T) {
 		if wantTuples[name] != 40 {
 			t.Fatalf("%s baseline tuples = %d, want 40", name, wantTuples[name])
 		}
-		baselines[name] = statsFingerprint(e.(StatsReporter).LastStats())
+		baselines[name] = statsFingerprint(res.Stats)
 	}
 
 	const goroutines, rounds = 8, 10
@@ -88,7 +88,7 @@ func TestConcurrentQueryStatsIsolation(t *testing.T) {
 						errc <- fmt.Errorf("%s: %d tuples, want %d", name, len(res.Tuples), wantTuples[name])
 						return
 					}
-					got := statsFingerprint(e.(StatsReporter).LastStats())
+					got := statsFingerprint(res.Stats)
 					if !reflect.DeepEqual(got, baselines[name]) {
 						errc <- fmt.Errorf("%s: stats diverged under concurrency:\ngot  %+v\nwant %+v", name, got, baselines[name])
 						return
@@ -119,11 +119,11 @@ probe(X) :- c(X).
 
 	var sequential *EvalStats
 	for _, workers := range []int{1, 2, 8} {
-		e := NewSemiNaive(in, WithWorkers(workers))
-		if _, err := e.RetrieveContext(context.Background(), q); err != nil {
+		res, err := NewSemiNaive(in, WithWorkers(workers)).RetrieveContext(context.Background(), q)
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		st := e.(StatsReporter).LastStats()
+		st := res.Stats
 		if workers == 1 {
 			sequential = st
 			continue

@@ -105,28 +105,16 @@ func (e *engine) topDown(ctx context.Context, gov *governor.Governor, p *plan) (
 		Passes:  run.pass,
 		Tables:  len(run.tables),
 		Lookups: run.lookups,
-		Wall:    time.Since(start),
 	}
 	for _, t := range run.tables {
 		stats.Facts += t.answers.Len()
 	}
-	stats.Probes = run.counters.Probes.Load()
-	stats.Candidates = run.counters.Candidates.Load()
-	stats.IndexBuilds = run.counters.IndexBuilds.Load()
-	stats.FullScans = run.counters.FullScans.Load()
-	stats.ProvEntries = e.rec.Len() - provStart
-	stats.StopReason = governor.StopReason(runErr)
-	if e.prof != nil {
-		e.prof.Finish("topdown", stats.Wall)
-	}
-	e.stats.Store(stats)
 	evalSp.SetInt("passes", int64(run.pass))
 	evalSp.SetInt("tables", int64(len(run.tables)))
-	endEvalSpan(evalSp, sp, stats)
-	if runErr != nil {
-		return nil, &StopError{Stats: stats, Err: runErr}
+	if err := e.finish(stats, start, run.counters, provStart, evalSp, sp, runErr); err != nil {
+		return nil, err
 	}
-	res := &Result{Vars: p.vars}
+	res := &Result{Vars: p.vars, Stats: stats}
 	if t, ok := run.tables[callKey(goal)]; ok {
 		t.answers.Scan(func(tp storage.Tuple) bool {
 			res.Tuples = append(res.Tuples, tp.Clone())

@@ -1,10 +1,13 @@
 package kb
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"kdb/internal/obs"
 	"kdb/internal/parser"
 )
 
@@ -175,5 +178,47 @@ func TestIntensionalAnswers(t *testing.T) {
 	}
 	if res.Knowledge != nil {
 		t.Error("intensional off must not attach knowledge")
+	}
+}
+
+// TestDisjunctiveRetrieveStats: a disjunctive retrieve reports the work
+// of every disjunct, in LastStats and in its query-log line — the sum of
+// the single-disjunct runs, not the last one's — and names every
+// strategy that ran, in run order.
+func TestDisjunctiveRetrieveStats(t *testing.T) {
+	var buf bytes.Buffer
+	k := New(WithQueryLog(obs.NewQueryLog(&buf, 0)))
+	if err := k.LoadString(routesProgram); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	facts := func(stmt string) int {
+		t.Helper()
+		if _, err := k.ExecStringContext(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		return k.LastStats().Facts
+	}
+	want := facts("retrieve reachable(X, Y) where X = la.") + facts("retrieve reachable(X, Y) where X = dal.")
+	buf.Reset()
+	if got := facts("retrieve reachable(X, Y) where X = la or X = dal."); got != want {
+		t.Errorf("LastStats().Facts = %d, want the disjuncts' sum %d", got, want)
+	}
+	var rec struct {
+		Facts int `json:"facts"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Facts != want {
+		t.Errorf("logged facts = %d, want the disjuncts' sum %d", rec.Facts, want)
+	}
+
+	// The free disjunct runs semi-naive, the bound one top-down.
+	if _, err := k.ExecStringContext(ctx, "retrieve reachable(X, Y) where X = dal or reachable(la, X)."); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.LastStats().Engine; got != "seminaive+topdown" {
+		t.Errorf("mixed disjunction ran on %q, want seminaive+topdown", got)
 	}
 }

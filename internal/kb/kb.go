@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,8 +76,8 @@ type KB struct {
 	// program's analysis and leave it unchanged.
 	gen atomic.Uint64
 
-	// lastStats holds the evaluation statistics of the most recent
-	// retrieve (or constraint check), for observability.
+	// lastStats holds the evaluation statistics of the most recent query
+	// that evaluated, or constraint check; only keepStats writes it.
 	lastStats atomic.Pointer[eval.EvalStats]
 
 	// tracer and qmetrics are the optional observability hooks
@@ -296,20 +297,20 @@ func (k *KB) effectiveLimits(ctx context.Context) governor.Limits {
 	return k.effectiveLimitsLocked(ctx)
 }
 
-// LastStats returns the evaluation statistics of the most recent
-// retrieve or constraint check, or nil if none has run yet. The pointer
-// changes on every evaluation, so callers can detect fresh stats by
-// comparing pointers.
+// LastStats returns the evaluation statistics of the most recent query
+// that evaluated (summed over a retrieve's disjuncts) or constraint
+// check, or nil if none has run yet. The pointer changes on every
+// evaluation, so callers can detect fresh stats by comparing pointers;
+// a query's own numbers also travel with its record to every sink.
 func (k *KB) LastStats() *eval.EvalStats {
 	return k.lastStats.Load()
 }
 
-// recordStats captures the engine's statistics after an evaluation.
-func (k *KB) recordStats(e eval.Engine) {
-	if sr, ok := e.(eval.StatsReporter); ok {
-		if st := sr.LastStats(); st != nil {
-			k.lastStats.Store(st)
-		}
+// keepStats makes st the LastStats record; a nil st (nothing was
+// evaluated) leaves the previous record in place.
+func (k *KB) keepStats(st *eval.EvalStats) {
+	if st != nil {
+		k.lastStats.Store(st)
 	}
 }
 
@@ -653,14 +654,16 @@ func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 		return nil, ErrClosed
 	}
 	engine := k.newEngine(ctx)
-	constraints := make([]term.Formula, len(k.constraints))
-	copy(constraints, k.constraints)
+	constraints := slices.Clone(k.constraints)
 	k.mu.RUnlock()
 	var out []string
+	var st *eval.EvalStats // summed over the constraints
+	defer func() { k.keepStats(st) }()
 	for _, ic := range constraints {
 		vars := ic.Vars()
 		probe := term.NewAtom("__ic__", vars...)
 		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: probe, Where: ic})
+		st = st.Add(eval.StatsOf(res, err))
 		if err != nil {
 			return nil, fmt.Errorf("kb: checking constraint :- %v: %w", ic, err)
 		}
@@ -676,7 +679,6 @@ func (k *KB) CheckConstraintsContext(ctx context.Context) ([]string, error) {
 			out = append(out, fmt.Sprintf("constraint :- %v violated by %v", ic, sub.ApplyFormula(ic)))
 		}
 	}
-	k.recordStats(engine)
 	return out, nil
 }
 
@@ -917,8 +919,8 @@ func (k *KB) ExecStringContext(ctx context.Context, src string) (*ExecResult, er
 
 // run is the one path a query takes through the KB: it opens the
 // observability scope, parses src when q is nil, registers the query
-// as in flight, dispatches it, and closes the scope with the statement's
-// outcome and profile.
+// as in flight, dispatches it, keeps its statistics for LastStats, and
+// closes the scope with the query's one record.
 func (k *KB) run(ctx context.Context, q parser.Query, src string) (*ExecResult, error) {
 	ctx, finish := k.beginQuery(ctx)
 	if q == nil {
@@ -928,56 +930,86 @@ func (k *KB) run(ctx context.Context, q parser.Query, src string) (*ExecResult, 
 		psp.End()
 		if err != nil {
 			if finish != nil {
-				finish("parse", strings.TrimSpace(src), nil, err)
+				finish(obs.QueryLogRecord{Statement: strings.TrimSpace(src), Kind: "parse"}, err)
 			}
 			return nil, err
 		}
 	}
-	kind, stmt := queryKind(q), q.String()
+	kind, stmt := parser.QueryKind(q), q.String()
 	ctx, done := k.beginActivity(ctx, kind, stmt)
-	res, prof, err := k.dispatch(ctx, q)
+	res, rep, err := k.dispatch(ctx, q)
 	if done != nil {
 		done()
 	}
+	k.keepStats(rep.stats)
 	if finish != nil {
-		finish(kind, stmt, prof, err)
+		rec := obs.QueryLogRecord{
+			Statement:     stmt,
+			Kind:          kind,
+			DescribeNodes: int64(rep.describeNodes),
+			ExplainNodes:  int64(rep.explainNodes),
+		}
+		if st := rep.stats; st != nil {
+			rec.Engine = st.Engine
+			rec.Facts = int64(st.Facts)
+			rec.Lookups = st.Lookups
+			rec.Iterations = st.Iterations()
+			rec.Probes = st.Probes
+			rec.FullScans = st.FullScans
+			rec.Candidates = st.Candidates
+			rec.IndexBuilds = st.IndexBuilds
+			rec.ProvEntries = int64(st.ProvEntries)
+		}
+		if rep.prof != nil {
+			rec.Profile = rep.prof.Rows()
+		}
+		finish(rec, err)
 	}
 	return res, err
 }
 
-// dispatch evaluates one statement. Besides the result it returns the
-// per-rule profile the evaluation recorded, if any — on a governed stop
-// the partial one, so the query log shows where a killed query spent its
-// time.
-func (k *KB) dispatch(ctx context.Context, q parser.Query) (*ExecResult, *profile.Profile, error) {
+// report is what one dispatched statement measured, failed or not: its
+// evaluations' summed stats (nil when it evaluated nothing), its
+// per-rule profile (on a governed stop the partial one, so the query log
+// shows where a killed query spent its time), and its describe and
+// explain nodes. run folds it into the query's record.
+type report struct {
+	stats                       *eval.EvalStats
+	prof                        *profile.Profile
+	describeNodes, explainNodes int
+}
+
+// dispatch evaluates one statement, returning its result and its report.
+func (k *KB) dispatch(ctx context.Context, q parser.Query) (*ExecResult, report, error) {
+	var rep report
 	switch s := q.(type) {
 	case *parser.Retrieve:
-		var prof *profile.Profile
 		var extra []eval.EngineOption
 		if k.Profiling() {
-			prof = profile.New()
-			extra = append(extra, eval.WithProfile(prof))
+			rep.prof = profile.New()
+			extra = append(extra, eval.WithProfile(rep.prof))
 		}
-		res, err := k.retrieve(ctx, s.Subject, s.Disjuncts(), extra...)
+		res, err := k.retrieve(ctx, s.Subject, s.Disjuncts(), &rep, extra...)
 		if err != nil {
-			return nil, prof, err
+			return nil, rep, err
 		}
-		out := &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}
+		out := &ExecResult{Query: q, Retrieve: res, Profile: rep.prof, subject: s.Subject}
 		if k.Intensional() {
 			// Intensional answering: attach the knowledge characterizing
 			// the extension, when the subject is an IDB concept.
 			if ans, derr := k.describe(ctx, &parser.Describe{Subject: s.Subject, Where: s.Where, Or: s.Or}); derr == nil {
 				out.Knowledge = ans
+				rep.describeNodes = ans.Nodes
 			}
 		}
-		return out, prof, nil
+		return out, rep, nil
 	case *parser.Profile:
-		prof := profile.New()
-		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, eval.WithProfile(prof))
+		rep.prof = profile.New()
+		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, &rep, eval.WithProfile(rep.prof))
 		if err != nil {
-			return nil, prof, err
+			return nil, rep, err
 		}
-		return &ExecResult{Query: q, Retrieve: res, Profile: prof, subject: s.Subject}, prof, nil
+		return &ExecResult{Query: q, Retrieve: res, Profile: rep.prof, subject: s.Subject}, rep, nil
 	case *parser.Explain:
 		// Why-provenance recording (the configured MaxProvenanceEntries
 		// limit applies) works on every engine, so an explain is a
@@ -985,32 +1017,35 @@ func (k *KB) dispatch(ctx context.Context, q parser.Query) (*ExecResult, *profil
 		// some valid tree. Trees are cycle-safe for recursive predicates;
 		// leaves distinguish stored facts from comparisons.
 		rec := prov.NewRecorder()
-		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, eval.WithProvenance(rec))
+		res, err := k.retrieve(ctx, s.Subject, []term.Formula{s.Where}, &rep, eval.WithProvenance(rec))
 		if err != nil {
-			return nil, nil, err
+			return nil, rep, err
 		}
 		esp := obs.SpanFromContext(ctx).Child("explain")
 		exp := rec.Explain(s.Subject, res.Atoms(s.Subject), k.store.Contains, maxExplainNodes)
 		esp.SetInt("trees", int64(len(exp.Trees)))
 		esp.SetInt("nodes", int64(exp.Nodes))
 		esp.End()
-		k.qmetrics.Load().ObserveExplain(int64(exp.Nodes))
-		return &ExecResult{Query: q, Explanation: exp}, nil, nil
+		rep.explainNodes = exp.Nodes
+		return &ExecResult{Query: q, Explanation: exp}, rep, nil
 	case *parser.Describe:
 		res, err := k.dispatchDescribe(ctx, s)
-		return res, nil, err
+		if res != nil && res.Describe != nil {
+			rep.describeNodes = res.Describe.Nodes
+		}
+		return res, rep, err
 	case *parser.Compare:
 		d, err := k.getDescriber()
 		if err != nil {
-			return nil, nil, err
+			return nil, rep, err
 		}
 		c, err := d.Compare(s.Left.Subject, s.Left.Where, s.Right.Subject, s.Right.Where)
 		if err != nil {
-			return nil, nil, err
+			return nil, rep, err
 		}
-		return &ExecResult{Query: q, Comparison: c}, nil, nil
+		return &ExecResult{Query: q, Comparison: c}, rep, nil
 	default:
-		return nil, nil, fmt.Errorf("kb: unsupported query %T", q)
+		return nil, rep, fmt.Errorf("kb: unsupported query %T", q)
 	}
 }
 
@@ -1076,29 +1111,25 @@ func (k *KB) dispatchDescribe(ctx context.Context, s *parser.Describe) (*ExecRes
 // with any extra options (a profiler, a provenance recorder), answers
 // the subject under each disjunct of the qualifier, and the answer is
 // the union of the per-disjunct answers (§6's disjunctive qualifier; a
-// plain qualifier is one disjunct). The engine's statistics are recorded
-// (LastStats) whether or not the evaluation stopped early.
-func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, extra ...eval.EngineOption) (*eval.Result, error) {
+// plain qualifier is one disjunct). rep.stats sums the disjuncts that
+// ran, whether or not the evaluation stopped early.
+func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.Formula, rep *report, extra ...eval.EngineOption) (*eval.Result, error) {
 	k.mu.RLock()
 	defer k.mu.RUnlock()
 	if k.closed {
 		return nil, ErrClosed
 	}
 	engine := k.newEngine(ctx, extra...)
-	defer k.recordStats(engine)
-	if len(disjuncts) == 1 {
-		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: disjuncts[0]})
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 	var merged *eval.Result
 	seen := make(map[string]bool)
 	for _, d := range disjuncts {
 		res, err := engine.RetrieveContext(ctx, eval.Query{Subject: subject, Where: d})
+		rep.stats = rep.stats.Add(eval.StatsOf(res, err))
 		if err != nil {
 			return nil, err
+		}
+		if len(disjuncts) == 1 {
+			return res, nil
 		}
 		if merged == nil {
 			merged = &eval.Result{Vars: res.Vars}
@@ -1111,6 +1142,7 @@ func (k *KB) retrieve(ctx context.Context, subject term.Atom, disjuncts []term.F
 			}
 		}
 	}
+	merged.Stats = rep.stats
 	return merged, nil
 }
 
@@ -1137,7 +1169,6 @@ func (k *KB) describe(ctx context.Context, s *parser.Describe) (*core.Answers, e
 	if err != nil {
 		return nil, err
 	}
-	k.observeDescribe(ans.Nodes)
 	k.applyDisplayNames(ans)
 	k.attachNotes(s.Subject, ans)
 	return ans, nil

@@ -4,13 +4,10 @@ import (
 	"context"
 	"time"
 
-	"kdb/internal/eval"
 	"kdb/internal/governor"
 	"kdb/internal/obs"
 	"kdb/internal/obs/history"
-	"kdb/internal/obs/profile"
 	"kdb/internal/obs/sysrel"
-	"kdb/internal/parser"
 )
 
 // WithTracer attaches a span tracer: every query records a span tree
@@ -70,10 +67,10 @@ func WithoutSystemRelations() Option {
 }
 
 // WithQueryLog attaches a structured query log: every finished query
-// (or only those at or above the log's slow threshold) appends one
-// JSONL record — statement, kind, latency, stop reason, per-query
-// EvalStats deltas, and the trace id of the query's root span when
-// tracing is also on.
+// (or only those at or above the log's slow threshold) appends its
+// record as one JSONL line — statement, kind, latency, stop reason, the
+// query's own evaluation counters, and the trace id of the query's root
+// span when tracing is also on.
 func WithQueryLog(l *obs.QueryLog) Option {
 	return func(k *KB) { k.qlog.Store(l) }
 }
@@ -137,12 +134,12 @@ func (k *KB) beginActivity(ctx context.Context, kind, stmt string) (context.Cont
 // "serve" phase), the query span is created as its child and the parent
 // owns trace retention; otherwise a fresh root is started on the KB's
 // tracer and finished there. The returned finish func ends the scope;
-// call it exactly once with the statement kind, the statement text, the
-// profile the evaluation recorded (nil if none), and the query's error.
-// When no tracer, metrics, query log, or query statistics is configured,
-// ctx comes back untouched and finish is nil, keeping the disabled path
-// free of allocations.
-func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt string, prof *profile.Profile, err error)) {
+// call it exactly once with the query's record and error. It completes
+// the record (latency, stop, error, trace id, client), and every sink
+// reads that one value. When no tracer, metrics, query log, or query
+// statistics is configured, ctx comes back untouched and finish is nil,
+// keeping the disabled path free of allocations.
+func (k *KB) beginQuery(ctx context.Context) (context.Context, func(rec obs.QueryLogRecord, err error)) {
 	tr := k.tracer.Load()
 	qm := k.qmetrics.Load()
 	ql := k.qlog.Load()
@@ -160,104 +157,35 @@ func (k *KB) beginQuery(ctx context.Context) (context.Context, func(kind, stmt s
 	}
 	ctx = obs.ContextWithSpan(ctx, root)
 	start := time.Now()
-	prev := k.lastStats.Load()
 	ci, _ := obs.ClientFromContext(ctx)
-	return ctx, func(kind, stmt string, prof *profile.Profile, err error) {
+	return ctx, func(rec obs.QueryLogRecord, err error) {
 		d := time.Since(start)
-		qs.Observe(stmt, d)
-		stop := governor.StopReason(err)
-		if stop == "error" {
-			stop = "" // plain failures are not governed stops
-		}
-		root.SetStr("kind", kind)
-		if stop != "" {
-			root.SetStr("stop", stop)
+		rec.DurUS = d.Microseconds()
+		rec.Stop = governor.StopReason(err)
+		if rec.Stop == "error" {
+			rec.Stop = "" // plain failures are not governed stops
 		}
 		if err != nil {
+			rec.Error = err.Error()
+		}
+		// The trace id joins the record to the query's trace, and the
+		// latency sample's exemplar to both.
+		rec.TraceID = root.TraceID()
+		rec.Tenant, rec.Client = ci.Tenant, ci.Client
+		qs.Observe(rec.Statement, d)
+		root.SetStr("kind", rec.Kind)
+		if rec.Stop != "" {
+			root.SetStr("stop", rec.Stop)
+		}
+		if rec.Error != "" {
 			root.SetBool("error", true)
 		}
-		// The latency sample carries the trace id, so the histogram
-		// bucket's exemplar links to this query's trace and log line.
-		qm.ObserveQueryTrace(kind, d, stop, err != nil, root.TraceID())
-		st := k.lastStats.Load()
-		freshStats := st != nil && st != prev
-		if freshStats {
-			qm.ObserveEval(int64(st.Facts), st.Lookups, st.Probes,
-				st.Candidates, st.IndexBuilds, sumIterations(st), int64(st.ProvEntries))
-		}
-		if ql != nil {
-			rec := obs.QueryLogRecord{
-				Statement: stmt,
-				Kind:      kind,
-				DurUS:     d.Microseconds(),
-				Stop:      stop,
-				TraceID:   root.TraceID(),
-				Tenant:    ci.Tenant,
-				Client:    ci.Client,
-			}
-			if err != nil {
-				rec.Error = err.Error()
-			}
-			if freshStats {
-				rec.Engine = st.Engine
-				rec.Facts = int64(st.Facts)
-				rec.Lookups = st.Lookups
-				rec.Probes = st.Probes
-				rec.FullScans = st.FullScans
-				rec.Candidates = st.Candidates
-				rec.IndexBuilds = st.IndexBuilds
-				rec.ProvEntries = int64(st.ProvEntries)
-			}
-			if prof != nil {
-				rec.Profile = prof.Rows()
-			}
-			ql.Observe(rec) // best-effort: a full disk must not fail the query
-		}
+		qm.Observe(rec)
+		ql.Observe(rec) // best-effort: a full disk must not fail the query
 		if owned {
 			tr.Finish(root)
 		} else {
 			root.End()
 		}
-	}
-}
-
-// sumIterations totals the fixpoint rounds across an evaluation's SCCs.
-func sumIterations(st *eval.EvalStats) int64 {
-	n := int64(st.Passes) // top-down naive-iteration passes
-	for _, c := range st.Components {
-		n += int64(c.Iterations)
-	}
-	return n
-}
-
-// observeDescribe folds a finished describe search into the metrics.
-func (k *KB) observeDescribe(nodes int) {
-	k.qmetrics.Load().ObserveDescribe(int64(nodes))
-}
-
-// queryKind names the statement form for metrics and span labels.
-func queryKind(q parser.Query) string {
-	switch s := q.(type) {
-	case *parser.Retrieve:
-		return "retrieve"
-	case *parser.Describe:
-		switch {
-		case s.Wildcard:
-			return "describe-wildcard"
-		case s.Subjectless:
-			return "possible"
-		case len(s.Not) > 0:
-			return "describe-not"
-		default:
-			return "describe"
-		}
-	case *parser.Compare:
-		return "compare"
-	case *parser.Explain:
-		return "explain"
-	case *parser.Profile:
-		return "profile"
-	default:
-		return "unknown"
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"kdb/internal/governor"
 	"kdb/internal/obs"
 )
 
@@ -147,5 +150,152 @@ func TestSetQueryLogDetach(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("detached query log still wrote: %s", buf.String())
+	}
+}
+
+// logLines decodes every query-log line into a generic record.
+func logLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	dec := json.NewDecoder(buf)
+	for dec.More() {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// num reads a numeric query-log field; an absent field is zero.
+func num(rec map[string]any, key string) int64 {
+	v, _ := rec[key].(float64)
+	return int64(v)
+}
+
+// TestConcurrentQueryLogAttribution: every log line carries its own
+// query's numbers, even while other queries finish around it. A describe
+// evaluates no retrieve, so its line has no eval counters; every
+// retrieve line has exactly the facts one run of that retrieve derives.
+// Run with -race.
+func TestConcurrentQueryLogAttribution(t *testing.T) {
+	var buf bytes.Buffer
+	k := New(WithQueryLog(obs.NewQueryLog(&buf, 0)))
+	if err := k.LoadString(routesProgram); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const retrieve, describe = "retrieve reachable(X, Y).", "describe reachable(X, Y)."
+	if _, err := k.ExecStringContext(ctx, retrieve); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(k.LastStats().Facts)
+	buf.Reset()
+
+	const rounds = 300
+	var wg sync.WaitGroup
+	for _, stmt := range []string{retrieve, describe} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if _, err := k.ExecStringContext(ctx, stmt); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	lines := logLines(t, &buf)
+	if len(lines) != 2*rounds {
+		t.Fatalf("%d log lines, want %d", len(lines), 2*rounds)
+	}
+	var foreign, wrong int
+	for _, rec := range lines {
+		switch rec["kind"] {
+		case "describe":
+			if rec["engine"] != nil || num(rec, "facts") != 0 || num(rec, "lookups") != 0 || num(rec, "probes") != 0 {
+				foreign++
+			}
+		case "retrieve":
+			if got := num(rec, "facts"); got != want {
+				wrong++
+			}
+		default:
+			t.Fatalf("unexpected record %v", rec)
+		}
+	}
+	if foreign > 0 || wrong > 0 {
+		t.Errorf("%d describe lines carry another query's eval counters; %d retrieve lines lack their own facts=%d",
+			foreign, wrong, want)
+	}
+}
+
+// TestSinksAgree: the metrics and the query log read one record per
+// query, so each counter family equals its log field summed over every
+// line — across a retrieve, a disjunctive retrieve, an explain, a
+// describe and a governed stop.
+func TestSinksAgree(t *testing.T) {
+	var buf bytes.Buffer
+	reg := obs.NewRegistry()
+	k := New(WithMetrics(reg), WithQueryLog(obs.NewQueryLog(&buf, 0)))
+	if err := k.LoadString(routesProgram); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, stmt := range []string{
+		"retrieve reachable(X, Y).",
+		"retrieve reachable(X, Y) where X = la or X = dal.",
+		"explain reachable(la, ny).",
+		"describe reachable(X, Y).",
+	} {
+		if _, err := k.ExecStringContext(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	stopped := ContextWithLimits(ctx, governor.Limits{MaxFacts: 5})
+	var le *governor.LimitError
+	if _, err := k.ExecStringContext(stopped, "retrieve reachable(X, Y)."); !errors.As(err, &le) {
+		t.Fatalf("governed retrieve: err = %v, want a limit stop", err)
+	}
+
+	sums := map[string]int64{}
+	lines := logLines(t, &buf)
+	if len(lines) != 5 {
+		t.Fatalf("%d log lines, want 5", len(lines))
+	}
+	for _, rec := range lines {
+		for key, v := range rec {
+			if f, ok := v.(float64); ok {
+				sums[key] += int64(f)
+			}
+		}
+	}
+	metric := map[string]int64{}
+	for _, p := range reg.Snapshot() {
+		metric[p.Name] += int64(p.Value)
+	}
+	for field, family := range map[string]string{
+		"facts":              "kdb_facts_derived_total",
+		"lookups":            "kdb_lookups_total",
+		"iterations":         "kdb_scc_iterations_total",
+		"probes":             "kdb_storage_probes_total",
+		"candidates":         "kdb_storage_candidates_total",
+		"index_builds":       "kdb_storage_index_builds_total",
+		"provenance_entries": "kdb_provenance_entries_total",
+		"describe_nodes":     "kdb_describe_nodes_total",
+		"explain_nodes":      "kdb_explain_nodes_total",
+	} {
+		if sums[field] != metric[family] {
+			t.Errorf("log %s sums to %d, but %s = %d", field, sums[field], family, metric[family])
+		}
+	}
+	for _, field := range []string{"facts", "iterations", "describe_nodes", "explain_nodes"} {
+		if sums[field] == 0 {
+			t.Errorf("no query logged %s", field)
+		}
 	}
 }

@@ -119,12 +119,27 @@ func TestParallelKBAgreesWithSequential(t *testing.T) {
 	}
 }
 
+// TestCheckConstraintsRecordsStats: a constraint check records the
+// statistics of every constraint it evaluated, summed.
 func TestCheckConstraintsRecordsStats(t *testing.T) {
-	k := loadKB(t, universityKB+"\n:- honor(X), student(X, cs, G).\n")
-	if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
-		t.Fatal(err)
+	const honorIC, priorIC = ":- honor(X), student(X, cs, G).\n", ":- prior(X, X).\n"
+	facts := func(constraints string) int {
+		t.Helper()
+		k := loadKB(t, universityKB+"\n"+constraints)
+		if _, err := k.CheckConstraintsContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st := k.LastStats()
+		if st == nil {
+			t.Fatal("constraint checking must record stats")
+		}
+		return st.Facts
 	}
-	if k.LastStats() == nil {
-		t.Error("constraint checking must record stats")
+	one, other := facts(honorIC), facts(priorIC)
+	if one == 0 || other == 0 {
+		t.Fatalf("constraints derived %d and %d facts; both must evaluate rules", one, other)
+	}
+	if both := facts(honorIC + priorIC); both != one+other {
+		t.Errorf("two constraints recorded facts=%d, want the sum %d+%d", both, one, other)
 	}
 }

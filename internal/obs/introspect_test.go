@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // --- Exemplars -------------------------------------------------------
@@ -66,8 +65,8 @@ func TestHistogramExemplar(t *testing.T) {
 func TestQueryMetricsExemplar(t *testing.T) {
 	reg := NewRegistry()
 	qm := NewQueryMetrics(reg)
-	qm.ObserveQueryTrace("retrieve", 50*time.Millisecond, "", false, 987654)
-	qm.ObserveQuery("retrieve", 60*time.Millisecond, "", false) // untraced: no exemplar
+	qm.Observe(QueryLogRecord{Kind: "retrieve", DurUS: 50000, TraceID: 987654})
+	qm.Observe(QueryLogRecord{Kind: "retrieve", DurUS: 60000}) // untraced: no exemplar
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {

@@ -69,12 +69,12 @@ func NewRegistry() *Registry { return &Registry{fams: map[string]*family{}} }
 // Counter is a monotonically increasing int64 instrument. Nil-safe.
 type Counter struct{ s *series }
 
-// Add increments the counter by d (d < 0 is ignored). Counters sit on
+// Add increments the counter by d (d <= 0 is a no-op). Counters sit on
 // request and evaluation hot paths; Add must not allocate.
 //
 //kdb:hotpath
 func (c *Counter) Add(d int64) {
-	if c == nil || c.s == nil || d < 0 {
+	if c == nil || c.s == nil || d <= 0 {
 		return
 	}
 	c.s.intVal.Add(d)

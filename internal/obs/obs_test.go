@@ -74,10 +74,8 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var qm *QueryMetrics
-	qm.ObserveQuery("retrieve", time.Millisecond, "", false)
-	qm.ObserveEval(1, 2, 3, 4, 5, 6, 7)
-	qm.ObserveDescribe(1)
-	qm.ObserveExplain(3)
+	qm.Observe(QueryLogRecord{Kind: "retrieve", DurUS: 1000, Facts: 1, Lookups: 2, Iterations: 6,
+		Probes: 3, Candidates: 4, IndexBuilds: 5, ProvEntries: 7, DescribeNodes: 1, ExplainNodes: 3})
 	var sm *StorageMetrics
 	sm.ObserveWALAppend(time.Millisecond, 10)
 	sm.ObserveWALSync(time.Millisecond)
@@ -352,10 +350,10 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	qm := NewQueryMetrics(reg)
 	sm := NewStorageMetrics(reg)
-	qm.ObserveQuery("retrieve", 2*time.Millisecond, "", false)
-	qm.ObserveQuery("describe", 5*time.Millisecond, "limit:describe-nodes", true)
-	qm.ObserveEval(10, 20, 30, 40, 1, 3, 2)
-	qm.ObserveDescribe(12)
+	qm.Observe(QueryLogRecord{Kind: "retrieve", DurUS: 2000, Facts: 10, Lookups: 20, Iterations: 3,
+		Probes: 30, Candidates: 40, IndexBuilds: 1, ProvEntries: 2})
+	qm.Observe(QueryLogRecord{Kind: "describe", DurUS: 5000, Stop: "limit:describe-nodes",
+		Error: "describe limit", DescribeNodes: 12})
 	sm.ObserveWALAppend(time.Millisecond, 128)
 	sm.ObserveWALSync(time.Millisecond)
 	sm.ObserveSnapshot(3*time.Millisecond, 4096)
@@ -385,6 +383,10 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		`kdb_query_duration_seconds_bucket{kind="retrieve",le="+Inf"} 1`,
 		`kdb_query_duration_seconds_count{kind="retrieve"} 1`,
 		`kdb_query_stops_total{reason="limit:describe-nodes"} 1`,
+		`kdb_query_errors_total{kind="describe"} 1`,
+		`kdb_facts_derived_total 10`,
+		`kdb_scc_iterations_total 3`,
+		`kdb_describe_nodes_total 12`,
 		`kdb_wal_append_bytes_total 128`,
 		`kdb_snapshot_bytes 4096`,
 	} {

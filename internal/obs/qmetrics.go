@@ -13,7 +13,6 @@ type QueryMetrics struct {
 
 	mu      sync.Mutex
 	byKind  map[string]*kindInstruments
-	byStop  map[string]*Counter
 	facts   *Counter
 	lookups *Counter
 	probes  *Counter
@@ -53,7 +52,6 @@ func NewQueryMetrics(reg *Registry) *QueryMetrics {
 	m := &QueryMetrics{
 		reg:     reg,
 		byKind:  map[string]*kindInstruments{},
-		byStop:  map[string]*Counter{},
 		facts:   reg.Counter("kdb_facts_derived_total"),
 		lookups: reg.Counter("kdb_lookups_total"),
 		probes:  reg.Counter("kdb_storage_probes_total"),
@@ -87,70 +85,33 @@ func (m *QueryMetrics) kind(kind string) *kindInstruments {
 	return ki
 }
 
-// ObserveQuery records one completed query: latency by statement kind,
-// the error tally, and — when the governor stopped it — the stop
-// reason ("deadline", "canceled", "limit:<kind>", "panic").
-func (m *QueryMetrics) ObserveQuery(kind string, d time.Duration, stopReason string, failed bool) {
-	m.ObserveQueryTrace(kind, d, stopReason, failed, 0)
-}
-
-// ObserveQueryTrace is ObserveQuery plus an exemplar: a nonzero traceID
-// offers the latency sample as its bucket's exemplar, so the /metrics
-// histogram links each bucket to the trace (and query-log line) of the
+// Observe folds one finished query's record into the registry: latency
+// and errors by kind, the governor's stop reason, and the counters. A
+// nonzero TraceID makes the latency sample its bucket's exemplar, so
+// /metrics links each bucket to the trace (and query-log line) of the
 // worst recent query that landed in it.
-func (m *QueryMetrics) ObserveQueryTrace(kind string, d time.Duration, stopReason string, failed bool, traceID uint64) {
+func (m *QueryMetrics) Observe(rec QueryLogRecord) {
 	if m == nil {
 		return
 	}
-	ki := m.kind(kind)
+	ki := m.kind(rec.Kind)
 	ki.total.Inc()
-	ki.latency.ObserveExemplar(d.Seconds(), traceID)
-	if failed {
+	ki.latency.ObserveExemplar(float64(rec.DurUS)/1e6, rec.TraceID)
+	if rec.Error != "" {
 		ki.errs.Inc()
 	}
-	if stopReason != "" && stopReason != "ok" {
-		m.mu.Lock()
-		c := m.byStop[stopReason]
-		if c == nil {
-			c = m.reg.Counter("kdb_query_stops_total", "reason", stopReason)
-			m.byStop[stopReason] = c
-		}
-		m.mu.Unlock()
-		c.Inc()
+	if rec.Stop != "" && rec.Stop != "ok" {
+		m.reg.Counter("kdb_query_stops_total", "reason", rec.Stop).Inc() // rare: no cache
 	}
-}
-
-// ObserveEval folds one retrieve evaluation's counters into the
-// registry.
-func (m *QueryMetrics) ObserveEval(facts, lookups, probes, candidates, indexBuilds, iterations, provEntries int64) {
-	if m == nil {
-		return
-	}
-	m.facts.Add(facts)
-	m.lookups.Add(lookups)
-	m.probes.Add(probes)
-	m.cands.Add(candidates)
-	m.idxB.Add(indexBuilds)
-	m.iters.Add(iterations)
-	m.provE.Add(provEntries)
-}
-
-// ObserveExplain folds one explain query's reconstructed node count
-// into the registry.
-func (m *QueryMetrics) ObserveExplain(nodes int64) {
-	if m == nil {
-		return
-	}
-	m.explN.Add(nodes)
-}
-
-// ObserveDescribe folds one describe search's node count into the
-// registry.
-func (m *QueryMetrics) ObserveDescribe(nodes int64) {
-	if m == nil {
-		return
-	}
-	m.descN.Add(nodes)
+	m.facts.Add(rec.Facts)
+	m.lookups.Add(rec.Lookups)
+	m.probes.Add(rec.Probes)
+	m.cands.Add(rec.Candidates)
+	m.idxB.Add(rec.IndexBuilds)
+	m.iters.Add(rec.Iterations)
+	m.provE.Add(rec.ProvEntries)
+	m.descN.Add(rec.DescribeNodes)
+	m.explN.Add(rec.ExplainNodes)
 }
 
 // StorageMetrics bundles the storage-path instruments. Its methods

@@ -9,34 +9,41 @@ import (
 	"kdb/internal/obs/profile"
 )
 
-// QueryLogRecord is one line of the structured query log: what ran, how
-// long it took, why it stopped, and the per-query EvalStats deltas. The
-// trace id matches the root span's ID() when tracing was enabled for
-// the same query, so a slow-log line can be joined against its trace.
+// QueryLogRecord is the one record of a finished query — what ran, how
+// long it took, why it stopped, and what its own evaluation measured —
+// read by every finished-query sink: QueryMetrics.Observe, the query
+// log (one JSON line) and the root span. The trace id matches the root
+// span's ID() when tracing was enabled for the same query, so a
+// slow-log line can be joined against its trace.
 type QueryLogRecord struct {
-	Time      time.Time `json:"-"`
-	TimeRFC   string    `json:"time"`
-	Statement string    `json:"stmt"`
-	Kind      string    `json:"kind"`
-	DurUS     int64     `json:"dur_us"`
-	Error     string    `json:"error,omitempty"`
-	Stop      string    `json:"stop,omitempty"`
-	TraceID   uint64    `json:"trace_id,omitempty"`
+	TimeRFC   string `json:"time"`
+	Statement string `json:"stmt"`
+	Kind      string `json:"kind"`
+	DurUS     int64  `json:"dur_us"`
+	Error     string `json:"error,omitempty"`
+	Stop      string `json:"stop,omitempty"`
+	TraceID   uint64 `json:"trace_id,omitempty"`
 	// Tenant and Client identify the remote principal when the query
 	// arrived through the kdb server (ContextWithClient); both are empty
 	// for library and REPL queries.
 	Tenant string `json:"tenant,omitempty"`
 	Client string `json:"client,omitempty"`
-	// Per-query evaluation deltas; present only when the query ran a
-	// retrieve-style evaluation.
+	// The query's evaluation counters, summed over its disjuncts;
+	// present only when it ran a retrieve-style evaluation. Engine names
+	// each strategy that ran, in run order ("topdown+seminaive").
 	Engine      string `json:"engine,omitempty"`
 	Facts       int64  `json:"facts,omitempty"`
 	Lookups     int64  `json:"lookups,omitempty"`
+	Iterations  int64  `json:"iterations,omitempty"`
 	Probes      int64  `json:"probes,omitempty"`
 	FullScans   int64  `json:"full_scans,omitempty"`
 	Candidates  int64  `json:"candidates,omitempty"`
 	IndexBuilds int64  `json:"index_builds,omitempty"`
 	ProvEntries int64  `json:"provenance_entries,omitempty"`
+	// Nodes the describe search expanded (a describe, or a retrieve's
+	// intensional answer) and derivation-tree nodes an explain rebuilt.
+	DescribeNodes int64 `json:"describe_nodes,omitempty"`
+	ExplainNodes  int64 `json:"explain_nodes,omitempty"`
 	// Profile holds the per-rule cost rows when the query ran with
 	// profiling enabled, so a slow-log line carries its own "explain
 	// analyze" instead of requiring a re-run.
@@ -84,14 +91,11 @@ func (l *QueryLog) Observe(rec QueryLogRecord) error {
 	if d < l.slow {
 		return nil
 	}
-	if rec.Time.IsZero() {
-		if l.now != nil {
-			rec.Time = l.now()
-		} else {
-			rec.Time = time.Now()
-		}
+	now := time.Now
+	if l.now != nil {
+		now = l.now
 	}
-	rec.TimeRFC = rec.Time.UTC().Format(time.RFC3339Nano)
+	rec.TimeRFC = now().UTC().Format(time.RFC3339Nano)
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err

@@ -73,6 +73,34 @@ type Query interface {
 	isQuery()
 }
 
+// QueryKind names the statement form, as the query's record, metrics,
+// span labels and server responses report it.
+func QueryKind(q Query) string {
+	switch s := q.(type) {
+	case *Retrieve:
+		return "retrieve"
+	case *Describe:
+		switch {
+		case s.Wildcard:
+			return "describe-wildcard"
+		case s.Subjectless:
+			return "possible"
+		case len(s.Not) > 0:
+			return "describe-not"
+		default:
+			return "describe"
+		}
+	case *Compare:
+		return "compare"
+	case *Explain:
+		return "explain"
+	case *Profile:
+		return "profile"
+	default:
+		return "unknown"
+	}
+}
+
 // Retrieve is the paper's data-query statement (§3.1), extended with the
 // disjunctive qualifiers of §6's second research direction:
 //

@@ -92,6 +92,12 @@ var keywords = map[string]bool{
 // IsReserved reports whether name is a reserved word of the language.
 func IsReserved(name string) bool { return keywords[name] }
 
+// IsStringRune reports whether a string constant may hold r: a
+// printable rune, or a newline or tab, which a literal writes as \n and
+// \t. The lexer rejects every other rune, so a string holding one has
+// no literal and cannot be written in the language.
+func IsStringRune(r rune) bool { return r == '\n' || r == '\t' || unicode.IsPrint(r) }
+
 // Error is a lexical or syntactic error with a source position.
 type Error struct {
 	Pos Pos
@@ -288,7 +294,7 @@ func (l *lexer) lexString(pos Pos) (Token, error) {
 			if r == utf8.RuneError && sz == 1 {
 				return Token{}, errf(l.pos(), "invalid UTF-8 in string literal")
 			}
-			if !unicode.IsPrint(r) {
+			if r == '\t' || !IsStringRune(r) { // a tab is written \t
 				return Token{}, errf(l.pos(), "unprintable character %q in string literal (use \\n or \\t)", r)
 			}
 			b.WriteString(l.src[l.off : l.off+sz])

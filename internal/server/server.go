@@ -479,7 +479,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, route string
 		return s.writeError(w, err)
 	}
 	resp := &queryResponse{
-		Kind:     queryKind(bound),
+		Kind:     parser.QueryKind(bound),
 		Prepared: hit,
 		Answers:  answerLines(res),
 		Rendered: res.String(),
@@ -522,36 +522,9 @@ func checkRoute(route string, q parser.Query) error {
 		_, ok = q.(*parser.Profile)
 	}
 	if !ok {
-		return &badRequestError{fmt.Errorf("statement kind %s does not match route /%s", queryKind(q), route)}
+		return &badRequestError{fmt.Errorf("statement kind %s does not match route /%s", parser.QueryKind(q), route)}
 	}
 	return nil
-}
-
-// queryKind names a parsed statement for responses and span labels.
-func queryKind(q parser.Query) string {
-	switch s := q.(type) {
-	case *parser.Retrieve:
-		return "retrieve"
-	case *parser.Describe:
-		switch {
-		case s.Wildcard:
-			return "describe-wildcard"
-		case s.Subjectless:
-			return "possible"
-		case len(s.Not) > 0:
-			return "describe-not"
-		default:
-			return "describe"
-		}
-	case *parser.Compare:
-		return "compare"
-	case *parser.Explain:
-		return "explain"
-	case *parser.Profile:
-		return "profile"
-	default:
-		return "unknown"
-	}
 }
 
 // answerLines extracts one line per answer from an ExecResult, sorted
@@ -994,7 +967,7 @@ func decodeArg(m json.RawMessage) (term.Term, error) {
 		if isSymbolName(x) {
 			return term.Sym(x), nil
 		}
-		return term.Str(x), nil
+		return writableStr(x)
 	case map[string]any:
 		if len(x) != 1 {
 			return term.Term{}, fmt.Errorf("want exactly one of sym/str/num, got %d keys", len(x))
@@ -1012,7 +985,7 @@ func decodeArg(m json.RawMessage) (term.Term, error) {
 				if !ok {
 					return term.Term{}, fmt.Errorf("str wants a string")
 				}
-				return term.Str(s), nil
+				return writableStr(s)
 			case "num":
 				n, ok := val.(float64)
 				if !ok {
@@ -1025,6 +998,18 @@ func decodeArg(m json.RawMessage) (term.Term, error) {
 	default:
 		return term.Term{}, fmt.Errorf("unsupported argument type %T (want number, string, or {sym|str|num: v})", v)
 	}
+}
+
+// writableStr makes s a string constant if the language can write it:
+// a term holding a rune no string literal carries would render as text
+// that does not parse back.
+func writableStr(s string) (term.Term, error) {
+	for _, r := range s {
+		if !parser.IsStringRune(r) {
+			return term.Term{}, fmt.Errorf("string holds %q, which no string literal can carry", r)
+		}
+	}
+	return term.Str(s), nil
 }
 
 // isSymbolName reports whether s is a lower-case identifier that the

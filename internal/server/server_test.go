@@ -570,4 +570,20 @@ func TestArgumentDecoding(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Errorf("missing args: %d %v", code, out)
 	}
+	// A string the language cannot write (a rune no string literal
+	// carries) is a 400, in either form; newlines and tabs are fine.
+	for _, arg := range []any{"\x00", map[string]any{"str": "bell\a"}, "no\u00a0break"} {
+		code, out = post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{
+			"stmt": "retrieve name(X, $1).", "args": []any{arg},
+		})
+		if code != http.StatusBadRequest {
+			t.Errorf("unwritable string %q: %d %v", arg, code, out)
+		}
+	}
+	code, out = post(t, ts, "/v1/kb/alpha/retrieve", map[string]any{
+		"stmt": "retrieve name(X, $1).", "args": []any{"two\nlines\tand a tab"},
+	})
+	if code != http.StatusOK {
+		t.Errorf("newline and tab: %d %v", code, out)
+	}
 }

@@ -71,7 +71,8 @@ type (
 	Option = kb.Option
 	// EvalStats is the observability record of one retrieve evaluation:
 	// per-SCC fixpoint iterations, facts derived, delta sizes, lookup and
-	// probe counts, and wall times. See KB.LastStats.
+	// probe counts, and wall times. A retrieve answer carries its own
+	// (ExecResult.Retrieve.Stats); see also KB.LastStats.
 	EvalStats = eval.EvalStats
 	// ComponentStats records the evaluation of one SCC of the rule graph.
 	ComponentStats = eval.ComponentStats
